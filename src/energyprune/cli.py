@@ -11,8 +11,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .criteria import CRITERIA, compute_scores
 from .engine import DivergenceError, TrainConfig, train
 from .experiments import (TOY_REPORT_HEADER, run_stability,
@@ -21,8 +19,8 @@ from .graph import GraphError
 from .metrics import count_complexity, evaluate
 from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       format_table, load_config, load_dataset, load_model,
-                      plan_rows, read_tsv, save_dataset, save_model,
-                      score_table_rows, write_tsv)
+                      plan_rows, read_score_table, read_tsv, save_dataset,
+                      save_model, score_table_rows, write_tsv)
 from .pruner import PlanError, PruningSpec, execute, plan
 from .toybench import (ToyDatasetSpec, ZOO_BUILDERS, build_reference_arch,
                        build_toy_mlp, gen_blobs, gen_class_images)
@@ -51,7 +49,7 @@ def _train_config(args) -> TrainConfig:
     overrides = {}
     for name in ("lr", "momentum", "weight_decay", "schedule", "max_epochs",
                  "patience", "batch_size", "seed"):
-        val = getattr(args, name.replace("_", "-").replace("-", "_"), None)
+        val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
     return replace(cfg, **overrides)
@@ -115,33 +113,15 @@ def cmd_score(args):
     x, y = load_dataset(Path(args.data) / "train.csv")
     if args.samples:
         x, y = x[:args.samples], y[:args.samples]
-    table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed,
-                           threads=args.threads)
+    table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
     write_tsv(args.out, SCORE_HEADER, score_table_rows(table))
     print(f"wrote {args.out} ({sum(len(v) for v in table.scores.values())} channels)")
-
-
-def _scores_from_tsv(path, g):
-    from .criteria import ScoreTable
-
-    header, rows = read_tsv(path)
-    if list(header) != list(SCORE_HEADER):
-        raise DataFormatError(f"{path}: not a score table")
-    table = ScoreTable(criterion=rows[0][3] if rows else "unknown")
-    per_layer: dict = {}
-    for lid, ch, score, criterion, n, seed in rows:
-        per_layer.setdefault(lid, {})[int(ch)] = float(score)
-        table.n_samples = int(n)
-        table.seed = int(seed)
-    for lid, vals in per_layer.items():
-        table.scores[lid] = np.array([vals[i] for i in range(len(vals))])
-    return table.validate()
 
 
 def cmd_prune(args):
     g = load_model(args.model)
     if args.scores:
-        table = _scores_from_tsv(args.scores, g)
+        table = read_score_table(args.scores)
     else:
         x, y = load_dataset(Path(args.data) / "train.csv")
         table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
@@ -240,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--criterion", choices=CRITERIA, default="nuclear")
     p.add_argument("--samples", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)

@@ -8,13 +8,12 @@ downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (ActivationRecord, GradientRecord, capture_points,
-                     forward, logits_node)
+from .engine import (ActivationRecord, GradientRecord, capture_activations,
+                     capture_points, forward, logits_node)
 from .graph import INPUT, ModelGraph
 from .linalg import nuclear_norm
 
@@ -51,7 +50,7 @@ def scored_layers(g: ModelGraph) -> list[str]:
     return [prod for _, prod in capture_points(g)]
 
 
-def _nuclear_channel_scores(rec: ActivationRecord, threads: int = 1) -> np.ndarray:
+def _nuclear_channel_scores(rec: ActivationRecord) -> np.ndarray:
     def one(i: int) -> float:
         a = rec.channel_matrix(i)
         if a.shape[1] == 1:
@@ -59,33 +58,13 @@ def _nuclear_channel_scores(rec: ActivationRecord, threads: int = 1) -> np.ndarr
             return float(np.linalg.norm(a))
         return nuclear_norm(a)
 
-    c = rec.n_channels
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, range(c))))
-    return np.array([one(i) for i in range(c)])
-
-
-def _nuclear_layer_scores(rec: ActivationRecord) -> np.ndarray:
-    """Layer-level reading: channels as rows of one c x (N*h*w) matrix;
-    channel score = its leave-one-out nuclear-norm contribution."""
-    vals = rec.values
-    mat = np.moveaxis(vals, 1, 0).reshape(vals.shape[1], -1)
-    total = nuclear_norm(mat)
-    out = np.empty(mat.shape[0])
-    for i in range(mat.shape[0]):
-        rest = np.delete(mat, i, axis=0)
-        out[i] = max(total - nuclear_norm(rest), 0.0) if rest.shape[0] else total
-    return out
+    return np.array([one(i) for i in range(rec.n_channels)])
 
 
 def score_nuclear(records: list[ActivationRecord], n_samples: int | None = None,
-                  seed: int = 0, matricization: str = "batch",
-                  threads: int = 1) -> ScoreTable:
+                  seed: int = 0) -> ScoreTable:
     """Energy scores: per channel, nuclear norm of the N x (h*w) matrix
-    stacking its map from every sample (``matricization="batch"``, the
-    default). ``"layer"`` switches to the layer-matrix reading, kept for
-    comparison only."""
+    stacking its map from every sample."""
     if not records:
         raise ValueError("no activation records")
     table = ScoreTable(criterion="nuclear", seed=seed,
@@ -94,12 +73,7 @@ def score_nuclear(records: list[ActivationRecord], n_samples: int | None = None,
     for rec in records:
         if rec.n_samples < 1:
             raise ValueError(f"empty record for {rec.layer_id!r}")
-        if matricization == "batch":
-            table.scores[rec.layer_id] = _nuclear_channel_scores(rec, threads)
-        elif matricization == "layer":
-            table.scores[rec.layer_id] = _nuclear_layer_scores(rec)
-        else:
-            raise ValueError(f"unknown matricization {matricization!r}")
+        table.scores[rec.layer_id] = _nuclear_channel_scores(rec)
     return table.validate()
 
 
@@ -216,15 +190,11 @@ def normalize_layer_l2(table: ScoreTable) -> ScoreTable:
 
 
 def compute_scores(g: ModelGraph, criterion: str, samples: np.ndarray,
-                   labels: np.ndarray | None = None, seed: int = 0,
-                   matricization: str = "batch", threads: int = 1) -> ScoreTable:
+                   labels: np.ndarray | None = None, seed: int = 0) -> ScoreTable:
     """Dispatch: capture whatever the criterion needs and score."""
-    from .engine import capture_activations
-
     if criterion == "nuclear":
         records = capture_activations(g, samples, seed=seed)
-        return score_nuclear(records, seed=seed, matricization=matricization,
-                             threads=threads)
+        return score_nuclear(records, seed=seed)
     if criterion == "weight":
         return score_weight(g)
     if criterion in ("gradient", "taylor"):

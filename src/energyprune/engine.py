@@ -16,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import INPUT, ModelGraph, channel_provenance, infer_shapes
 from .linalg import make_rng
+from .metrics import evaluate
 
 
 class DivergenceError(RuntimeError):
@@ -401,8 +402,7 @@ def _ancestors_inclusive(g: ModelGraph, nid: str) -> set:
 def capture_points(g: ModelGraph) -> list[tuple[str, str]]:
     """(capture_node_id, producer_layer_id) pairs: every BatchNorm with a
     unique conv/dense producer, and every hidden Dense layer."""
-    shapes = infer_shapes(g)
-    del shapes
+    infer_shapes(g)
     lid = logits_node(g)
     points = []
     for node in g.nodes.values():
@@ -488,19 +488,6 @@ def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr
 
 
-def evaluate_accuracy(g: ModelGraph, x: np.ndarray, y: np.ndarray,
-                      batch_size: int = 512) -> float:
-    if len(x) == 0:
-        raise ValueError("empty dataset")
-    lid = logits_node(g)
-    correct = 0
-    for i in range(0, len(x), batch_size):
-        fwd = forward(g, x[i:i + batch_size], mode="eval")
-        pred = np.argmax(fwd.activations[lid], axis=1)
-        correct += int(np.sum(pred == y[i:i + batch_size]))
-    return correct / len(x)
-
-
 def train(g: ModelGraph, dataset, cfg: TrainConfig):
     """SGD with momentum, weight decay, cosine schedule, and early
     stopping on validation accuracy. Returns (best_graph, history) where
@@ -545,7 +532,7 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
                 vel *= cfg.momentum
                 vel += grad
                 g.nodes[nid].params[name] -= lr * vel
-        val_acc = evaluate_accuracy(g, xval, yval)
+        val_acc = evaluate(g, (xval, yval))
         history.append((epoch, float(np.mean(losses)), val_acc, lr))
         if val_acc > best_acc:
             best_acc = val_acc

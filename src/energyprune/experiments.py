@@ -18,7 +18,7 @@ from .engine import TrainConfig, train
 from .metrics import (count_complexity, evaluate, kendall_distance,
                       ranking_from_scores, select_stability_layers,
                       stability_curve)
-from .pruner import PruningSpec, execute, plan, prune_pipeline
+from .pruner import PruningSpec, execute, plan
 from .toybench import (ToyDatasetSpec, build_toy_mlp, gen_blobs,
                        gen_class_images, select_by_loss, ZOO_BUILDERS)
 

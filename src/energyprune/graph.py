@@ -44,13 +44,6 @@ class LayerNode:
     params: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
 
-    def out_channels(self):
-        if self.kind == "Dense":
-            return self.attrs["out"]
-        if self.kind == "Conv2D":
-            return self.attrs["out"]
-        return None
-
 
 class ModelGraph:
     """DAG of layers with a single designated output node.
@@ -218,7 +211,7 @@ def channel_provenance(g: ModelGraph):
     Returns (provenance, union_find, frozen_slots) where frozen_slots are
     slots tied positionally to un-prunable channels.
     """
-    infer_shapes(g)  # validates wiring first
+    shapes = infer_shapes(g)  # validates wiring first
     uf = _UnionFind()
     frozen: set = set()
     prov: dict[str, list] = {}
@@ -228,7 +221,6 @@ def channel_provenance(g: ModelGraph):
             return [None] * width
         return prov[src]
 
-    shapes = infer_shapes(g)
     for node in g.nodes.values():
         k = node.kind
         if k in ("Dense", "Conv2D"):
@@ -263,22 +255,6 @@ def channel_provenance(g: ModelGraph):
         else:  # pragma: no cover
             raise GraphError(f"unhandled kind {k}")
     return prov, uf, frozen
-
-
-def concat_offset_table(g: ModelGraph) -> dict:
-    """For every Concat node, the output-channel offset of each input."""
-    shapes = infer_shapes(g)
-    table = {}
-    for node in g.nodes.values():
-        if node.kind != "Concat":
-            continue
-        offset = 0
-        offsets = {}
-        for src in node.inputs:
-            offsets[src] = offset
-            offset += g.input_shape[0] if src == INPUT else shapes[src][0]
-        table[node.id] = offsets
-    return table
 
 
 def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
@@ -374,15 +350,7 @@ def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
             inputs=list(node.inputs),
         )
         k = node.kind
-        if k == "Dense":
-            in_keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
-                else np.ones(node.attrs["in"], dtype=bool)
-            keep = masks[node.id]
-            new.params["w"] = node.params["w"][keep][:, in_keep]
-            new.params["b"] = node.params["b"][keep]
-            new.attrs["in"] = int(in_keep.sum())
-            new.attrs["out"] = int(keep.sum())
-        elif k == "Conv2D":
+        if k in ("Dense", "Conv2D"):
             in_keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
                 else np.ones(node.attrs["in"], dtype=bool)
             keep = masks[node.id]

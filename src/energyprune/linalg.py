@@ -8,6 +8,7 @@ this package sees (a few thousand rows at most).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -60,30 +61,32 @@ def _check_matrix(a: np.ndarray) -> np.ndarray:
 def _jacobi_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi on a tall (m >= n) matrix; returns (u, s, v)."""
     m, n = a.shape
-    w = a.copy()
-    v = np.eye(n)
+    # w (rows :m) and v (rows m:) stacked, so one rotation updates both
+    wv = np.concatenate([a, np.eye(n)])
+    cols = [wv[:, j] for j in range(n)]
+    wcols = [col[:m] for col in cols]
     for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
+            wp = wcols[p]
             for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = wp @ wp
-                aqq = wq @ wq
-                apq = wp @ wq
-                denom = np.sqrt(app * aqq)
+                wq = wcols[q]
+                app = float(wp @ wp)
+                aqq = float(wq @ wq)
+                apq = float(wp @ wq)
+                denom = math.sqrt(app * aqq)
                 if denom == 0.0 or abs(apq) <= JACOBI_TOL * denom:
                     continue
                 off = max(off, abs(apq) / denom)
                 theta = 0.5 * np.arctan2(2.0 * apq, app - aqq)
                 c = np.cos(theta)
                 s = np.sin(theta)
-                w[:, p], w[:, q] = c * wp + s * wq, -s * wp + c * wq
-                vp = v[:, p].copy()
-                v[:, p] = c * vp + s * v[:, q]
-                v[:, q] = -s * vp + c * v[:, q]
+                xp, xq = cols[p], cols[q]
+                xp[...], xq[...] = c * xp + s * xq, -s * xp + c * xq
         if off <= JACOBI_TOL:
             break
+    w = wv[:m]
+    v = wv[m:]
     s = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-s, kind="stable")
     s = s[order]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .criteria import ScoreTable
 from .graph import LayerNode, ModelGraph
 from .linalg import read_blob, write_blob
 
@@ -172,6 +173,29 @@ def score_table_rows(table):
 
 
 SCORE_HEADER = ("layer", "channel", "score", "criterion", "n_samples", "seed")
+
+
+def read_score_table(path) -> ScoreTable:
+    """The ScoreTable a SCORE_HEADER report holds; every layer must list
+    channels 0..C-1 without a gap, with finite non-negative scores."""
+    header, rows = read_tsv(path)
+    if header != list(SCORE_HEADER):
+        raise DataFormatError(f"{path}: not a score table")
+    table = ScoreTable(criterion="unknown")
+    per_layer: dict = {}
+    try:
+        for lid, ch, score, criterion, n, seed in rows:
+            per_layer.setdefault(lid, {})[int(ch)] = float(score)
+            table.criterion = criterion
+            table.n_samples = int(n)
+            table.seed = int(seed)
+        for lid, vals in per_layer.items():
+            if sorted(vals) != list(range(len(vals))):
+                raise ValueError(f"channels of layer {lid!r} are not 0..C-1")
+            table.scores[lid] = np.array([vals[i] for i in range(len(vals))])
+        return table.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad score table: {exc}") from exc
 
 
 def plan_rows(pruning_plan):

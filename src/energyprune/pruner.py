@@ -14,8 +14,9 @@ import numpy as np
 
 from .criteria import ScoreTable, compute_scores, normalize_layer_l2
 from .engine import TrainConfig, logits_node, train
-from .graph import (ChannelGroup, ModelGraph, build_channel_groups,
-                    infer_shapes, rewrite_remove_channels)
+from .graph import (ChannelGroup, ModelGraph, RewriteRefusal,
+                    build_channel_groups, infer_shapes,
+                    rewrite_remove_channels)
 from .metrics import count_complexity
 
 AGGREGATIONS = ("min", "mean", "max")
@@ -44,6 +45,9 @@ class PruningSpec:
             raise PlanError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.ratio < 1.0:
             raise PlanError("ratio must be in [0, 1)")
+        for lid, r in self.per_layer_ratios.items():
+            if not 0.0 <= r < 1.0:
+                raise PlanError(f"ratio of layer {lid!r} must be in [0, 1)")
         if not 0.0 <= self.threshold < 1.0:
             raise PlanError("threshold must be in [0, 1)")
         if self.group_agg not in AGGREGATIONS:
@@ -53,7 +57,6 @@ class PruningSpec:
 @dataclass
 class PruningPlan:
     removals: list  # (ChannelGroup, aggregate score), removal order
-    masks: dict  # layer_id -> 0/1 keep vector
     predicted_shapes: dict
     predicted_flops: int
     predicted_params: int
@@ -91,7 +94,7 @@ def _group_score(grp: ChannelGroup, table: ScoreTable, agg: str) -> float:
     return float(np.mean(vals))
 
 
-def _layer_counts(g: ModelGraph, slots) -> dict:
+def _layer_counts(slots) -> dict:
     counts: dict = {}
     for lid, _ in slots:
         counts[lid] = counts.get(lid, 0) + 1
@@ -103,8 +106,15 @@ def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
     floor(r_l * c_l) lowest channels of each layer (closed under
     grouping), global mode ranks layer-l2-normalized group scores and
     removes lowest-first until the threshold fraction is reached."""
-    shapes = infer_shapes(g)
-    del shapes
+    return _plan(g, scores, spec, 1.0, {})
+
+
+def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
+          frac: float, done: dict) -> PruningPlan:
+    """``plan`` for step k of an iterative run, ``frac`` = k/steps. The
+    targets are ``frac`` of the spec's, taken on the widths before earlier
+    steps removed ``done`` (layer_id -> count) channels, which count
+    toward them."""
     groups = build_channel_groups(g)
     protected = set(spec.protected) if spec.protected is not None \
         else default_protected(g)
@@ -137,9 +147,9 @@ def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
                 by_layer.setdefault(lid, []).append((ch, grp))
         for lid, entries in by_layer.items():
             r = spec.per_layer_ratios.get(lid, spec.ratio)
-            c = g.nodes[lid].attrs["out"]
-            k = int(np.floor(r * c))
-            if k == 0:
+            c = g.nodes[lid].attrs["out"] + done.get(lid, 0)
+            k = int(np.floor(r * c * frac)) - done.get(lid, 0)
+            if k <= 0:
                 continue
             entries = sorted(entries, key=lambda e: e[0])
             ranked = sorted(entries, key=lambda e: table.get(lid, e[0]))
@@ -151,8 +161,8 @@ def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
     else:
         table = scores if scores.normalization == "layer-l2" \
             else normalize_layer_l2(scores)
-        total = sum(len(grp.slots) for grp in candidates)
-        target = int(round(spec.threshold * total))
+        total = sum(len(grp.slots) for grp in candidates) + sum(done.values())
+        target = int(round(spec.threshold * total * frac)) - sum(done.values())
         ranked = sorted(
             ((grp, _group_score(grp, table, spec.group_agg)) for grp in candidates),
             key=lambda e: (e[1], sort_key(e[0])))
@@ -162,7 +172,7 @@ def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
         for grp, score in ranked:
             if removed >= target:
                 break
-            counts = _layer_counts(g, grp.slots)
+            counts = _layer_counts(grp.slots)
             if any(remaining[lid] - n < 1 for lid, n in counts.items()):
                 continue  # never empty a layer
             for lid, n in counts.items():
@@ -177,24 +187,14 @@ def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
     slots = set()
     for grp, _ in selected:
         slots.update(grp.slots)
-    masks = {}
-    for lid in {s[0] for s in slots} | set(scores.scores):
-        if lid not in g.nodes:
-            continue
-        keep = np.ones(g.nodes[lid].attrs["out"])
-        for s_lid, ch in slots:
-            if s_lid == lid:
-                keep[ch] = 0.0
-        masks[lid] = keep
-    for lid, keep in masks.items():
-        if not keep.any():
-            raise PlanError(f"spec would empty layer {lid!r}")
-
+    try:
+        scratch = rewrite_remove_channels(g, slots) if slots else g.copy()
+    except RewriteRefusal as exc:
+        raise PlanError(f"spec would empty a layer: {exc}") from exc
     base = count_complexity(g)
-    scratch = rewrite_remove_channels(g, slots) if slots else g.copy()
     pred = count_complexity(scratch)
     return PruningPlan(
-        removals=selected, masks=masks,
+        removals=selected,
         predicted_shapes=infer_shapes(scratch),
         predicted_flops=pred.flops, predicted_params=pred.params,
         baseline_flops=base.flops, baseline_params=base.params)
@@ -218,45 +218,25 @@ def execute(g: ModelGraph, pruning_plan: PruningPlan) -> ModelGraph:
 def prune_pipeline(g: ModelGraph, dataset, spec: PruningSpec,
                    finetune: TrainConfig | None = None,
                    scoring_samples=None, scoring_labels=None,
-                   seed: int = 0, steps: int = 1,
-                   matricization: str = "batch"):
+                   seed: int = 0, steps: int = 1):
     """capture -> score -> plan -> execute -> optional fine-tune.
 
-    One-shot by default; ``steps > 1`` re-scores between equal-sized
-    pruning steps. Returns (pruned_graph, report dict)."""
+    One-shot by default; ``steps > 1`` re-scores between pruning steps,
+    step k removing up to k/steps of the spec's target counted on the
+    original widths, so the total removed equals the one-shot plan's.
+    Returns (pruned_graph, report dict)."""
     x, y = dataset
     if scoring_samples is None:
         scoring_samples, scoring_labels = x, y
     current = g
     all_removals = []
-    for step in range(steps):
-        if spec.mode == "global":
-            frac_done = len(all_removals) and sum(
-                len(grp.slots) for grp, _ in all_removals)
-            step_spec = PruningSpec(
-                mode="global",
-                threshold=spec.threshold * (step + 1) / steps if steps > 1
-                else spec.threshold,
-                criterion=spec.criterion, group_agg=spec.group_agg,
-                protected=spec.protected)
-            del frac_done
-        else:
-            step_spec = PruningSpec(
-                mode="per-layer",
-                ratio=1.0 - (1.0 - spec.ratio) ** ((step + 1) / steps)
-                if steps > 1 else spec.ratio,
-                per_layer_ratios=spec.per_layer_ratios,
-                criterion=spec.criterion, group_agg=spec.group_agg,
-                protected=spec.protected)
+    for step in range(1, steps + 1):
         table = compute_scores(current, spec.criterion, scoring_samples,
-                               labels=scoring_labels, seed=seed,
-                               matricization=matricization)
-        step_plan = plan(current, table, step_spec)
+                               labels=scoring_labels, seed=seed)
+        done = _layer_counts(s for grp, _ in all_removals for s in grp.slots)
+        step_plan = _plan(current, table, spec, step / steps, done)
         all_removals.extend(step_plan.removals)
         current = execute(current, step_plan)
-        if steps > 1 and step < steps - 1:
-            # rebuild scoring against the shrunk graph on the next pass
-            continue
     if finetune is not None:
         current, _ = train(current, dataset, finetune)
     base = count_complexity(g)

@@ -10,13 +10,14 @@ interrogated by one or more tests.
 
 import itertools
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from energyprune.cli import main
-from energyprune.criteria import compute_scores
-from energyprune.engine import forward, logits_node
+from energyprune.criteria import compute_scores, score_nuclear
+from energyprune.engine import capture_activations, forward, logits_node
 from energyprune.experiments import (run_data_quality, run_stability,
                                      run_toy_experiment)
 from energyprune.graph import build_channel_groups, rewrite_remove_channels
@@ -247,12 +248,35 @@ def test_criterion_9_experiment_report_is_byte_identical(tmp_path):
 
 
 def test_criterion_9_scoring_is_thread_invariant():
+    # scoring a model from four concurrent callers gives the serial scores:
+    # capture and kernels share no mutable state across calls
     zoo = build_zoo(k=4, seed=0)
     rng = make_rng(5)
     for g in zoo.values():
         x = rng.normal(size=(16,) + g.input_shape)
-        one = compute_scores(g, "nuclear", x, threads=1)
-        many = compute_scores(g, "nuclear", x, threads=8)
-        assert one.scores.keys() == many.scores.keys()
-        for lid in one.scores:
-            assert np.array_equal(one.scores[lid], many.scores[lid])
+        serial = compute_scores(g, "nuclear", x)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(
+                lambda _: compute_scores(g, "nuclear", x), range(4)))
+        for table in tables:
+            assert table.scores.keys() == serial.scores.keys()
+            for lid in serial.scores:
+                assert np.array_equal(table.scores[lid], serial.scores[lid])
+
+
+def test_criterion_9_scoring_is_batch_composition_invariant():
+    # a layer's scores depend only on its own activations: neither on a
+    # repeated run nor on which other layers are scored alongside it
+    zoo = build_zoo(k=4, seed=0)
+    rng = make_rng(5)
+    for g in zoo.values():
+        x = rng.normal(size=(16,) + g.input_shape)
+        first = compute_scores(g, "nuclear", x)
+        again = compute_scores(g, "nuclear", x)
+        assert first.scores.keys() == again.scores.keys()
+        for lid in first.scores:
+            assert np.array_equal(first.scores[lid], again.scores[lid])
+        for rec in capture_activations(g, x):
+            alone = score_nuclear([rec])
+            assert np.array_equal(alone.scores[rec.layer_id],
+                                  first.scores[rec.layer_id])

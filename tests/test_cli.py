@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from energyprune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from energyprune.modelio import load_model, read_tsv
+from energyprune.modelio import SCORE_HEADER, load_model, read_tsv
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,18 @@ class TestExitCodes:
     def test_bad_score_file_is_data_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("wrong\theader\n")
+        assert main(["prune", "--model", str(workdir / "model.json"),
+                     "--scores", str(bad),
+                     "--out", str(tmp_path / "p.json")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("rows", [
+        ["fc1\t0\t1.5\tweight\t8\t0", "fc1\t2\t1.5\tweight\t8\t0"],
+        ["fc1\t0\tabc\tweight\t8\t0"],
+        ["fc1\t0\t1.5"],
+    ], ids=["missing-channel", "non-numeric-score", "short-row"])
+    def test_wrong_score_table_is_data_error(self, workdir, tmp_path, rows):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(["\t".join(SCORE_HEADER)] + rows) + "\n")
         assert main(["prune", "--model", str(workdir / "model.json"),
                      "--scores", str(bad),
                      "--out", str(tmp_path / "p.json")]) == EXIT_DATA

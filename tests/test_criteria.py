@@ -1,5 +1,7 @@
 """Importance criteria against small closed-form and naive oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -38,24 +40,12 @@ class TestNuclear:
             assert table.scores["L"][c] == pytest.approx(expect, rel=1e-10)
 
     def test_single_sample_equals_frobenius_norm(self):
-        # one sample: the 1 x (h*w) matricization is rank one
+        # one sample: the 1 x (h*w) channel matrix is rank one
         vals = make_rng(1).normal(size=(1, 2, 3, 3))
         table = score_nuclear([_record(vals)])
         for c in range(2):
             assert table.scores["L"][c] == pytest.approx(
                 frobenius_norm(vals[0, c].reshape(1, -1)), rel=1e-10)
-
-    def test_layer_matricization_leave_one_out(self):
-        # orthogonal channel rows: each contribution is the row norm
-        vals = np.zeros((2, 2, 1, 2))
-        vals[0, 0, 0, 0] = 3.0
-        vals[1, 1, 0, 0] = 4.0
-        table = score_nuclear([_record(vals)], matricization="layer")
-        assert np.allclose(table.scores["L"], [3.0, 4.0])
-
-    def test_unknown_matricization(self):
-        with pytest.raises(ValueError):
-            score_nuclear([_record([[1.0]])], matricization="nope")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -63,9 +53,12 @@ class TestNuclear:
 
     def test_thread_count_does_not_change_scores(self):
         vals = make_rng(2).normal(size=(8, 5, 4, 4))
-        one = score_nuclear([_record(vals)], threads=1)
-        four = score_nuclear([_record(vals)], threads=4)
-        assert np.array_equal(one.scores["L"], four.scores["L"])
+        one = score_nuclear([_record(vals)])
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            four = list(pool.map(lambda _: score_nuclear([_record(vals)]),
+                                 range(4)))
+        for table in four:
+            assert np.array_equal(one.scores["L"], table.scores["L"])
 
 
 def test_weight_scores_are_l1_rows():

@@ -5,10 +5,11 @@ import pytest
 
 from energyprune.engine import (DivergenceError, TrainConfig, backward,
                                 capture_activations, capture_points,
-                                cross_entropy, evaluate_accuracy, forward,
-                                init_params, logits_node, train)
+                                cross_entropy, forward, init_params,
+                                logits_node, train)
 from energyprune.graph import INPUT, ModelGraph
 from energyprune.linalg import make_rng
+from energyprune.metrics import evaluate
 from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
                                   gen_blobs)
@@ -208,7 +209,7 @@ class TestTraining:
         # cosine schedule decays from the configured lr
         assert lrs[0] == pytest.approx(cfg.lr)
         assert all(a <= b + 1e-12 for a, b in zip(lrs[1:], lrs))
-        acc = evaluate_accuracy(g, blobs.test_x, blobs.test_y)
+        acc = evaluate(g, (blobs.test_x, blobs.test_y))
         assert acc > 0.5  # far above the 0.25 chance level
 
     def test_divergence_detected(self, blobs):
@@ -232,4 +233,4 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(g, (np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig())
         with pytest.raises(ValueError):
-            evaluate_accuracy(g, np.zeros((0, 2)), np.zeros(0, dtype=int))
+            evaluate(g, (np.zeros((0, 2)), np.zeros(0, dtype=int)))

@@ -5,8 +5,8 @@ import pytest
 
 from energyprune.graph import (GraphError, INPUT, LayerNode, ModelGraph,
                                RewriteRefusal, build_channel_groups,
-                               channel_provenance, concat_offset_table,
-                               infer_shapes, rewrite_remove_channels)
+                               channel_provenance, infer_shapes,
+                               rewrite_remove_channels)
 from energyprune.toybench import (build_toy_cnn_inception,
                                   build_toy_cnn_plain,
                                   build_toy_cnn_residual,
@@ -141,12 +141,6 @@ class TestChannelGroups:
         assert all(s is None for s in prov["flat"])
         # dense slots after the flatten are their own groups
         assert prov["out"] == [("out", i) for i in range(4)]
-
-    def test_concat_offsets(self):
-        g = build_toy_densenet_cell()
-        table = concat_offset_table(g)
-        assert table["cat1"] == {"c0.relu": 0, "d1.relu": 8}
-        assert table["cat2"] == {"c0.relu": 0, "d1.relu": 8, "d2.relu": 12}
 
 
 class TestRewrite:

@@ -1,12 +1,15 @@
 """SVD/nuclear-norm kernels against an eigendecomposition oracle, plus
 the tensor blob format."""
 
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import energyprune
 from energyprune.linalg import (DomainError, ShapeError, frobenius_norm,
                                 make_rng, nuclear_norm, read_blob,
                                 singular_values, svd, write_blob)
@@ -141,3 +144,29 @@ def test_make_rng_is_stable_stream():
     b = make_rng(123).normal(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(124).normal(size=5))
+
+
+DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_production_code_never_calls_library_decompositions():
+    # keeps the Gram-eigvalsh oracle independent of the kernels it checks
+    found = []
+    for path in sorted(Path(energyprune.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in DECOMPOSITIONS \
+                    and _dotted(node.func.value).endswith("linalg"):
+                found.append(f"{path.name}:{node.lineno}: {_dotted(node.func)}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and (node.module or "").endswith("linalg"):
+                found += [f"{path.name}:{node.lineno}: import {a.name}"
+                          for a in node.names if a.name in DECOMPOSITIONS]
+    assert found == []

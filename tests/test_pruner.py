@@ -35,6 +35,12 @@ class TestSpecValidation:
         with pytest.raises(PlanError):
             PruningSpec(group_agg="median")
 
+    @pytest.mark.parametrize("r", [-0.25, 1.0])
+    def test_bad_per_layer_ratio(self, r):
+        # a negative ratio once made ranked[:k] keep only the top -k
+        with pytest.raises(PlanError):
+            PruningSpec(mode="per-layer", per_layer_ratios={"b1.conv1": r})
+
 
 def test_default_protected():
     assert default_protected(build_toy_mlp(hidden=4)) == {"out"}
@@ -94,6 +100,16 @@ class TestPerLayer:
             pruned.nodes["b2.proj"].attrs["out"]
         x = make_rng(1).normal(size=(2, 3, 8, 8))
         forward(pruned, x)  # rewired graph still runs
+
+    def test_tied_layers_cannot_be_emptied(self):
+        # each layer's lowest half drags the other half of its Add twin
+        g = build_toy_cnn_residual(seed=0)
+        table = compute_scores(g, "weight", None)
+        table.scores["b2.conv1"] = np.arange(32.0)
+        table.scores["b2.proj"] = np.arange(32.0)[::-1].copy()
+        spec = PruningSpec(mode="per-layer", ratio=0.5, criterion="weight")
+        with pytest.raises(PlanError):
+            plan(g, table, spec)
 
 
 class TestGlobal:
@@ -172,7 +188,7 @@ class TestPlanIntegrity:
         table = compute_scores(g, "weight", None)
         p = plan(g, table, PruningSpec(mode="per-layer", ratio=0.25,
                                        criterion="weight"))
-        bad = PruningPlan(removals=p.removals, masks=p.masks,
+        bad = PruningPlan(removals=p.removals,
                           predicted_shapes=p.predicted_shapes,
                           predicted_flops=p.predicted_flops + 1,
                           predicted_params=p.predicted_params,
@@ -204,3 +220,19 @@ def test_prune_pipeline_end_to_end():
     assert report["params_after"] < report["params_before"]
     assert all(pruned.nodes[f].attrs["out"] == 12
                for f in ("fc1", "fc2", "fc3"))
+
+
+@pytest.mark.parametrize("mode", ["global", "per-layer"])
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_iterative_pruning_removes_the_one_shot_total(mode, steps):
+    data = gen_blobs(ToyDatasetSpec(samples_per_class=10, seed=0))
+    g = build_toy_mlp(hidden=40, seed=0)
+    spec = PruningSpec(mode=mode, ratio=0.5, threshold=0.5,
+                       criterion="weight")
+    pruned, report = prune_pipeline(g, (data.train_x, data.train_y), spec,
+                                    steps=steps)
+    widths = [pruned.nodes[f].attrs["out"] for f in ("fc1", "fc2", "fc3")]
+    assert report["removed_channels"] == 60
+    assert sum(widths) == 60
+    if mode == "per-layer":
+        assert widths == [20, 20, 20]
