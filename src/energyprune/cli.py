@@ -119,9 +119,17 @@ def cmd_score(args):
 
 
 def cmd_prune(args):
+    if not (args.scores or args.data):
+        raise ValueError("prune needs a score source: --scores or --data")
     g = load_model(args.model)
     if args.scores:
         table = read_score_table(args.scores)
+        for lid, vec in table.scores.items():
+            node = g.nodes.get(lid)
+            if node is not None and len(vec) != node.attrs.get("out"):
+                raise DataFormatError(
+                    f"{args.scores}: {len(vec)} scores for layer {lid!r}, "
+                    f"which has {node.attrs.get('out', 0)} prunable channels")
     else:
         x, y = load_dataset(Path(args.data) / "train.csv")
         table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
@@ -164,14 +172,14 @@ def cmd_count(args):
 
 def cmd_stability(args):
     sizes = [int(s) for s in args.sizes.split(",")]
+    model = data = None
     if args.model:
-        g = load_model(args.model)
-        x, _ = load_dataset(Path(args.data) / "train.csv")
-        rows = run_stability(seed=args.seed, sizes=sizes,
-                             criterion=args.criterion, model=g, samples=x)
-    else:
-        rows = run_stability(seed=args.seed, sizes=sizes,
-                             criterion=args.criterion)
+        if not args.data:
+            raise ValueError("stability --model needs --data")
+        model = load_model(args.model)
+        data = load_dataset(Path(args.data) / "train.csv")
+    rows = run_stability(seed=args.seed, sizes=sizes, criterion=args.criterion,
+                         model=model, data=data)
     out_rows = [(a, b, lid, f"{k:.6f}") for a, b, lid, k in rows]
     header = ("size_small", "size_large", "layer", "kendall_distance")
     if args.out:

@@ -32,9 +32,6 @@ class ScoreTable:
     seed: int = 0
     normalization: str = "raw"  # or "layer-l2"
 
-    def layer_ids(self):
-        return list(self.scores)
-
     def get(self, layer_id: str, channel: int) -> float:
         return float(self.scores[layer_id][channel])
 
@@ -61,15 +58,13 @@ def _nuclear_channel_scores(rec: ActivationRecord) -> np.ndarray:
     return np.array([one(i) for i in range(rec.n_channels)])
 
 
-def score_nuclear(records: list[ActivationRecord], n_samples: int | None = None,
-                  seed: int = 0) -> ScoreTable:
+def score_nuclear(records: list[ActivationRecord], seed: int = 0) -> ScoreTable:
     """Energy scores: per channel, nuclear norm of the N x (h*w) matrix
     stacking its map from every sample."""
     if not records:
         raise ValueError("no activation records")
     table = ScoreTable(criterion="nuclear", seed=seed,
-                       n_samples=n_samples if n_samples is not None
-                       else records[0].n_samples)
+                       n_samples=records[0].n_samples)
     for rec in records:
         if rec.n_samples < 1:
             raise ValueError(f"empty record for {rec.layer_id!r}")

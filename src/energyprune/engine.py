@@ -75,36 +75,27 @@ class GradientRecord:
 
 # --- per-kind forward/backward -----------------------------------------
 
-def _im2col(x, k, stride, pad):
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n_, c_, ho, wo, _, _ = win.shape
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), (ho, wo)
-
-
-def _col2im(grad_cols, x_shape, k, stride, pad, ho, wo):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    gx = np.zeros((n, c, hp, wp))
-    g = grad_cols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[..., i, j]
-    if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
-
-
-def _pool_windows(x, k, stride, pad=0, fill=0.0):
+def _windows(x, k, stride, pad, fill=0.0):
+    """(N, C, Ho, Wo, k, k) view of the k x k windows of an (N, C, H, W)
+    batch, padded by ``pad`` with ``fill``."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
                    constant_values=fill)
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, ho, wo, _, _ = win.shape
-    return win.reshape(n, c, ho, wo, k * k), (ho, wo)
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _scatter_windows(gwin, x_shape, stride, pad):
+    """Adjoint of ``_windows``: sums (N, C, Ho, Wo, k, k) window
+    gradients back onto the (N, C, H, W) input."""
+    n, c, h, w = x_shape
+    _, _, ho, wo, k, _ = gwin.shape
+    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[..., i, j]
+    if pad:
+        gx = gx[:, :, pad:-pad, pad:-pad]
+    return gx
 
 
 def _forward_node(node, xs, mode, rng, cache):
@@ -115,8 +106,11 @@ def _forward_node(node, xs, mode, rng, cache):
         return x @ node.params["w"].T + node.params["b"]
     if k == "Conv2D":
         (x,) = xs
-        cols, (ho, wo) = _im2col(x, node.attrs["k"], node.attrs["stride"], node.attrs["pad"])
-        cache["cols"], cache["x_shape"], cache["hw"] = cols, x.shape, (ho, wo)
+        win = _windows(x, node.attrs["k"], node.attrs["stride"], node.attrs["pad"])
+        n, c, ho, wo, kk, _ = win.shape
+        cols = np.ascontiguousarray(
+            win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kk * kk))
+        cache["cols"], cache["x_shape"] = cols, x.shape
         w = node.params["w"]
         out = cols @ w.reshape(w.shape[0], -1).T  # (N, Ho*Wo, Cout)
         if "b" in node.params:
@@ -126,11 +120,11 @@ def _forward_node(node, xs, mode, rng, cache):
         (x,) = xs
         eps = node.attrs.get("eps", 1e-5)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        count = x.size // x.shape[1]
         if mode == "train":
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
             m = node.attrs.get("bn_momentum", 0.1)
-            count = x.shape[0] if x.ndim == 2 else x.shape[0] * x.shape[2] * x.shape[3]
             unbiased = var * count / max(count - 1, 1)
             node.params["mean"][:] = (1 - m) * node.params["mean"] + m * mean
             node.params["var"][:] = (1 - m) * node.params["var"] + m * unbiased
@@ -141,7 +135,7 @@ def _forward_node(node, xs, mode, rng, cache):
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
         cache.update(xhat=xhat, inv=inv, axes=axes, shape=shape, mode=mode,
-                     count=x.shape[0] if x.ndim == 2 else x.shape[0] * x.shape[2] * x.shape[3])
+                     count=count)
         return node.params["gamma"].reshape(shape) * xhat + node.params["beta"].reshape(shape)
     if k == "ReLU":
         (x,) = xs
@@ -149,18 +143,20 @@ def _forward_node(node, xs, mode, rng, cache):
         return np.where(cache["mask"], x, 0.0)
     if k == "MaxPool":
         (x,) = xs
-        win, (ho, wo) = _pool_windows(x, node.attrs["k"], node.attrs["stride"],
-                                      node.attrs.get("pad", 0), fill=-np.inf)
+        kk = node.attrs["k"]
+        win = _windows(x, kk, node.attrs["stride"], node.attrs.get("pad", 0),
+                       fill=-np.inf)
+        win = win.reshape(win.shape[:4] + (kk * kk,))
         idx = win.argmax(axis=-1)
-        cache.update(idx=idx, x_shape=x.shape, hw=(ho, wo))
+        cache.update(idx=idx, x_shape=x.shape)
         return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     if k == "AvgPool":
         (x,) = xs
         # padded entries count as zeros (count-include-pad convention)
-        win, (ho, wo) = _pool_windows(x, node.attrs["k"], node.attrs["stride"],
-                                      node.attrs.get("pad", 0), fill=0.0)
-        cache.update(x_shape=x.shape, hw=(ho, wo))
-        return win.mean(axis=-1)
+        kk = node.attrs["k"]
+        win = _windows(x, kk, node.attrs["stride"], node.attrs.get("pad", 0))
+        cache["x_shape"] = x.shape
+        return win.reshape(win.shape[:4] + (kk * kk,)).mean(axis=-1)
     if k == "GlobalAvgPool":
         (x,) = xs
         cache["x_shape"] = x.shape
@@ -185,11 +181,8 @@ def _forward_node(node, xs, mode, rng, cache):
         return np.concatenate(xs, axis=1)
     if k == "Softmax":
         (x,) = xs
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        out = e / e.sum(axis=1, keepdims=True)
-        cache["out"] = out
-        return out
+        cache["out"] = _softmax(x)[2]
+        return cache["out"]
     raise AssertionError(f"unhandled kind {k}")
 
 
@@ -202,17 +195,19 @@ def _backward_node(node, grad, cache, param_grads):
         param_grads[(node.id, "b")] = grad.sum(axis=0)
         return [grad @ node.params["w"]]
     if k == "Conv2D":
-        cols, (ho, wo) = cache["cols"], cache["hw"]
-        n = grad.shape[0]
+        cols = cache["cols"]
+        n, cout, ho, wo = grad.shape
         w = node.params["w"]
-        g = grad.reshape(n, w.shape[0], ho * wo).transpose(0, 2, 1)  # (N,HW,Cout)
+        g = grad.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N,HW,Cout)
         gw = np.einsum("npc,npk->ck", g, cols).reshape(w.shape)
         param_grads[(node.id, "w")] = gw
         if "b" in node.params:
             param_grads[(node.id, "b")] = g.sum(axis=(0, 1))
-        grad_cols = g @ w.reshape(w.shape[0], -1)
-        return [_col2im(grad_cols, cache["x_shape"], node.attrs["k"],
-                        node.attrs["stride"], node.attrs["pad"], ho, wo)]
+        grad_cols = g @ w.reshape(cout, -1)  # (N, HW, Cin*k*k)
+        c, kk = w.shape[1], w.shape[2]
+        gwin = grad_cols.reshape(n, ho, wo, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
+        return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
+                                 node.attrs["pad"])]
     if k == "BatchNorm":
         xhat, inv, axes, shape = cache["xhat"], cache["inv"], cache["axes"], cache["shape"]
         gamma = node.params["gamma"]
@@ -227,22 +222,16 @@ def _backward_node(node, grad, cache, param_grads):
         return [gxhat * inv.reshape(shape)]
     if k == "ReLU":
         return [np.where(cache["mask"], grad, 0.0)]
-    if k == "MaxPool":
+    if k in ("MaxPool", "AvgPool"):
         kk = node.attrs["k"]
-        st = node.attrs["stride"]
-        idx = cache["idx"]
-        n, c, ho, wo = grad.shape
-        gwin = np.zeros((n, c, ho, wo, kk * kk))
-        np.put_along_axis(gwin, idx[..., None], grad[..., None], axis=-1)
-        return [_pool_scatter(gwin, cache["x_shape"], kk, st, ho, wo,
-                              node.attrs.get("pad", 0))]
-    if k == "AvgPool":
-        kk = node.attrs["k"]
-        st = node.attrs["stride"]
-        n, c, ho, wo = grad.shape
-        gwin = np.broadcast_to(grad[..., None] / (kk * kk), (n, c, ho, wo, kk * kk)).copy()
-        return [_pool_scatter(gwin, cache["x_shape"], kk, st, ho, wo,
-                              node.attrs.get("pad", 0))]
+        if k == "MaxPool":
+            gwin = np.zeros(grad.shape + (kk * kk,))
+            np.put_along_axis(gwin, cache["idx"][..., None], grad[..., None], axis=-1)
+            gwin = gwin.reshape(grad.shape + (kk, kk))
+        else:
+            gwin = np.broadcast_to(grad[..., None, None] / (kk * kk), grad.shape + (kk, kk))
+        return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
+                                 node.attrs.get("pad", 0))]
     if k == "GlobalAvgPool":
         n, c, h, w = cache["x_shape"]
         return [np.broadcast_to(grad[:, :, None, None] / (h * w), (n, c, h, w)).copy()]
@@ -259,18 +248,6 @@ def _backward_node(node, grad, cache, param_grads):
         out = cache["out"]
         return [out * (grad - (grad * out).sum(axis=1, keepdims=True))]
     raise AssertionError(f"unhandled kind {k}")
-
-
-def _pool_scatter(gwin, x_shape, k, stride, ho, wo, pad=0):
-    n, c, h, w = x_shape
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    g = gwin.reshape(n, c, ho, wo, k, k)
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[..., i, j]
-    if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
 
 
 # --- graph-level execution ----------------------------------------------
@@ -340,13 +317,27 @@ def logits_node(g: ModelGraph) -> str:
     return out.inputs[0] if out.kind == "Softmax" else out.id
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def _softmax(x: np.ndarray):
+    """Row-wise softmax of (N, K) scores from one exponentiation: returns
+    the max-shifted scores z, the row sums of exp(z), and the softmax."""
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    return z, total, e / total
+
+
+def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and the softmax probabilities."""
     labels = np.asarray(labels, dtype=np.intp)
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label out of range")
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+    z, total, probs = _softmax(logits)
+    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(len(labels)), labels]))
+    return loss, probs
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    return _softmax_loss(logits, labels)[0]
 
 
 def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
@@ -356,24 +347,19 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.intp)
     fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True)
     lid = logits_node(g)
-    logits = fwd.activations[lid]
-    loss = cross_entropy(logits, labels)
-
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    dlogits = probs.copy()
+    loss, dlogits = _softmax_loss(fwd.activations[lid], labels)
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
 
+    # Only ancestors of the logits ever receive a gradient; every other
+    # node is skipped.
     node_grads: dict = {lid: dlogits}
     param_grads: dict = {}
-    order = [nid for nid in g.nodes if nid in _ancestors_inclusive(g, lid)]
-    for nid in reversed(order):
-        node = g.nodes[nid]
+    for nid in reversed(g.nodes):
         grad = node_grads.get(nid)
         if grad is None:
             continue
+        node = g.nodes[nid]
         in_grads = _backward_node(node, grad, fwd.caches[nid], param_grads)
         for src, ig in zip(node.inputs, in_grads):
             if src == INPUT:
@@ -383,18 +369,6 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
             else:
                 node_grads[src] = ig
     return loss, param_grads, node_grads, fwd
-
-
-def _ancestors_inclusive(g: ModelGraph, nid: str) -> set:
-    seen = set()
-    stack = [nid]
-    while stack:
-        cur = stack.pop()
-        if cur in seen or cur == INPUT:
-            continue
-        seen.add(cur)
-        stack.extend(g.nodes[cur].inputs)
-    return seen
 
 
 # --- activation capture -------------------------------------------------

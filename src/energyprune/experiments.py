@@ -15,12 +15,14 @@ import numpy as np
 
 from .criteria import CRITERIA, compute_scores
 from .engine import TrainConfig, train
+from .linalg import make_rng
 from .metrics import (count_complexity, evaluate, kendall_distance,
                       ranking_from_scores, select_stability_layers,
                       stability_curve)
 from .pruner import PruningSpec, execute, plan
-from .toybench import (ToyDatasetSpec, build_toy_mlp, gen_blobs,
-                       gen_class_images, select_by_loss, ZOO_BUILDERS)
+from .toybench import (SELECT_BATCHES, ToyDatasetSpec, ZOO_BUILDERS,
+                       build_toy_mlp, gen_blobs, gen_class_images,
+                       select_by_loss)
 
 TOY_TRAIN = TrainConfig(lr=0.005, momentum=0.9, weight_decay=5e-4,
                         schedule="cosine", max_epochs=40, patience=12,
@@ -35,23 +37,23 @@ TOY_CENTERS = ((1.0, 1.2), (-1.3, -0.8), (1.15, -1.0), (-0.85, 1.05))
 TOY_CENTER_SCALE = 6.0
 TOY_STD = 1.0
 TOY_SCORE_PER_CLASS = 32
+TOY_PER_CLASS = 1000
+TOY_HIDDEN = 1000
+TOY_PRUNE_FRACTION = 1.0 / 3.0
 
 
-def run_toy_experiment(seed: int = 0, hidden: int = 1000,
-                       samples_per_class: int = 1000,
-                       criteria=CRITERIA, train_cfg: TrainConfig | None = None,
-                       prune_fraction: float = 1.0 / 3.0):
-    """Criterion-comparison run: train, then per criterion prune a fixed
-    fraction of hidden neurons globally with no fine-tuning.
+def run_toy_experiment(seed: int = 0):
+    """Criterion-comparison run: train, then per criterion prune a
+    third of the hidden neurons globally with no fine-tuning.
 
     Returns {"rows": [(name, accuracy, drop, params, flops)], ...} with
     the unpruned model first."""
-    spec = ToyDatasetSpec(classes=4, samples_per_class=samples_per_class,
+    spec = ToyDatasetSpec(classes=4, samples_per_class=TOY_PER_CLASS,
                           center_scale=TOY_CENTER_SCALE, std=TOY_STD,
                           seed=seed, centers=TOY_CENTERS)
     data = gen_blobs(spec)
-    cfg = replace(train_cfg or TOY_TRAIN, seed=seed)
-    model = build_toy_mlp(k=4, hidden=hidden, seed=seed)
+    cfg = replace(TOY_TRAIN, seed=seed)
+    model = build_toy_mlp(k=4, hidden=TOY_HIDDEN, seed=seed)
     model, history = train(model, (data.train_x, data.train_y), cfg)
 
     # fresh datapoints, unseen in training, for criterion computation
@@ -63,9 +65,9 @@ def run_toy_experiment(seed: int = 0, hidden: int = 1000,
     base = count_complexity(model)
     orig_acc = evaluate(model, (data.test_x, data.test_y))
     rows = [("original", orig_acc, 0.0, base.params, base.flops)]
-    for criterion in criteria:
+    for criterion in CRITERIA:
         table = compute_scores(model, criterion, sx, labels=sy, seed=seed)
-        spec_p = PruningSpec(mode="global", threshold=prune_fraction,
+        spec_p = PruningSpec(mode="global", threshold=TOY_PRUNE_FRACTION,
                              criterion=criterion)
         pruned = execute(model, plan(model, table, spec_p))
         acc = evaluate(pruned, (data.test_x, data.test_y))
@@ -84,30 +86,33 @@ def toy_experiment_report(result) -> list[tuple]:
 TOY_REPORT_HEADER = ("criterion", "accuracy_pct", "drop_pct", "params", "flops")
 
 
-def _trained_toy_cnn(seed: int, samples_per_class: int = 192,
-                     max_epochs: int = 25):
-    data = gen_class_images(classes=4, samples_per_class=samples_per_class,
-                            seed=seed)
-    cfg = TrainConfig(lr=0.02, max_epochs=max_epochs, patience=8,
-                      batch_size=64, seed=seed)
+def _trained_toy_cnn(seed: int):
+    data = gen_class_images(classes=4, samples_per_class=192, seed=seed)
+    cfg = TrainConfig(lr=0.02, max_epochs=25, patience=8, batch_size=64,
+                      seed=seed)
     model = ZOO_BUILDERS["toy-cnn-plain"](4, seed)
     model, _ = train(model, (data.train_x, data.train_y), cfg)
     return model, data
 
 
+STABILITY_POOL = 512
+
+
 def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
-                  criterion: str = "nuclear", pool: int = 512,
-                  model=None, samples=None):
-    """Kendall distance between nuclear rankings from nested sample sets
-    of consecutive sizes, on 4 evenly spaced layers of toy-cnn-plain."""
+                  criterion: str = "nuclear", model=None, data=None):
+    """Kendall distance between the rankings from nested sample sets of
+    consecutive sizes, on 4 evenly spaced layers. ``model`` and ``data``
+    (samples, labels) default to a trained toy-cnn-plain and a fresh
+    pool of ``STABILITY_POOL`` images."""
     if model is None:
-        model, data = _trained_toy_cnn(seed)
-        rng_pool = gen_class_images(classes=4,
-                                    samples_per_class=max(pool // 4, 1),
-                                    seed=seed + 500)
-        samples = rng_pool.train_x
-    rows = stability_curve(model, samples, criterion, sizes, seed=seed)
-    return rows
+        model, _ = _trained_toy_cnn(seed)
+        pool = gen_class_images(classes=4,
+                                samples_per_class=STABILITY_POOL // 4,
+                                seed=seed + 500)
+        data = (pool.train_x, pool.train_y)
+    samples, labels = data
+    return stability_curve(model, samples, criterion, sizes, seed=seed,
+                           labels=labels)
 
 
 def run_data_quality(seed: int = 0, batch_size: int = 32,
@@ -117,22 +122,18 @@ def run_data_quality(seed: int = 0, batch_size: int = 32,
     Returns per-condition Kendall distance to the 10-batch reference
     ranking and post-prune (with fine-tune) accuracy."""
     model, data = _trained_toy_cnn(seed)
-    trainset = (data.train_x, data.train_y)
+    trainset = x, y = data.train_x, data.train_y
     layers = select_stability_layers(model)
 
-    perm_pool = trainset[0], trainset[1]
-    n_ref = min(10 * batch_size, len(perm_pool[0]))
-    from .linalg import make_rng
-    perm = make_rng(seed).permutation(len(perm_pool[0]))
-    ref_idx = perm[:n_ref]
+    perm = make_rng(seed).permutation(len(x))
+    ref_idx = perm[:SELECT_BATCHES * batch_size]
     small_idx = perm[:batch_size]
-
     sets = {
-        "small": (perm_pool[0][small_idx], perm_pool[1][small_idx]),
-        "easy": select_by_loss(model, perm_pool, "easy", batch_size, seed=seed),
-        "hard": select_by_loss(model, perm_pool, "hard", batch_size, seed=seed),
+        "small": (x[small_idx], y[small_idx]),
+        "easy": select_by_loss(model, trainset, "easy", batch_size, seed=seed),
+        "hard": select_by_loss(model, trainset, "hard", batch_size, seed=seed),
     }
-    reference = compute_scores(model, "nuclear", perm_pool[0][ref_idx], seed=seed)
+    reference = compute_scores(model, "nuclear", x[ref_idx], seed=seed)
 
     distances = {}
     accuracies = {}

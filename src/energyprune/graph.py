@@ -9,7 +9,6 @@ graph whose forward pass matches the masked original.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,11 @@ class LayerNode:
     params: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
 
+    def copy(self) -> "LayerNode":
+        return LayerNode(self.id, self.kind, dict(self.attrs),
+                         {k: v.copy() for k, v in self.params.items()},
+                         list(self.inputs))
+
 
 class ModelGraph:
     """DAG of layers with a single designated output node.
@@ -76,14 +80,7 @@ class ModelGraph:
 
     def copy(self) -> "ModelGraph":
         g = ModelGraph(self.input_shape)
-        for node in self.nodes.values():
-            g.nodes[node.id] = LayerNode(
-                id=node.id,
-                kind=node.kind,
-                attrs=dict(node.attrs),
-                params={k: v.copy() for k, v in node.params.items()},
-                inputs=list(node.inputs),
-            )
+        g.nodes = {nid: node.copy() for nid, node in self.nodes.items()}
         g.output_id = self.output_id
         return g
 
@@ -92,9 +89,6 @@ class ModelGraph:
         for node in self.nodes.values():
             for name, arr in node.params.items():
                 yield node.id, name, arr
-
-    def consumers(self, node_id: str) -> list[str]:
-        return [n.id for n in self.nodes.values() if node_id in n.inputs]
 
 
 # --- shape inference ----------------------------------------------------
@@ -327,45 +321,35 @@ def _keep_masks(g: ModelGraph, removed_slots: set) -> dict[str, np.ndarray]:
 def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
     """Return a new graph with the given channels structurally removed.
 
-    ``removals`` is an iterable of ChannelGroups or raw (layer_id, ch)
-    slots; it must be closed under the graph's channel grouping.
+    ``removals`` is an iterable of (layer_id, ch) slots; it must be
+    closed under the graph's channel grouping.
     """
-    removed: set = set()
-    for r in removals:
-        if isinstance(r, ChannelGroup):
-            removed.update(r.slots)
-        else:
-            removed.add((r[0], int(r[1])))
+    removed = {(lid, int(ch)) for lid, ch in removals}
     for layer_id, _ in removed:
         if layer_id not in g.nodes:
             raise GraphError(f"removal names unknown layer {layer_id!r}")
     masks = _keep_masks(g, removed)
 
+    # node by node: a whole g.copy() first would hold every tensor twice
     out = ModelGraph(g.input_shape)
     for node in g.nodes.values():
-        new = LayerNode(
-            id=node.id, kind=node.kind,
-            attrs=dict(node.attrs),
-            params={k: v.copy() for k, v in node.params.items()},
-            inputs=list(node.inputs),
-        )
+        node = out.nodes[node.id] = node.copy()
         k = node.kind
         if k in ("Dense", "Conv2D"):
             in_keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
                 else np.ones(node.attrs["in"], dtype=bool)
             keep = masks[node.id]
-            new.params["w"] = node.params["w"][keep][:, in_keep]
+            node.params["w"] = node.params["w"][keep][:, in_keep]
             if "b" in node.params:
-                new.params["b"] = node.params["b"][keep]
-            new.attrs["in"] = int(in_keep.sum())
-            new.attrs["out"] = int(keep.sum())
+                node.params["b"] = node.params["b"][keep]
+            node.attrs["in"] = int(in_keep.sum())
+            node.attrs["out"] = int(keep.sum())
         elif k == "BatchNorm":
             keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
                 else np.ones(node.attrs["channels"], dtype=bool)
             for name in ("gamma", "beta", "mean", "var"):
-                new.params[name] = node.params[name][keep]
-            new.attrs["channels"] = int(keep.sum())
-        out.nodes[new.id] = new
+                node.params[name] = node.params[name][keep]
+            node.attrs["channels"] = int(keep.sum())
     out.output_id = g.output_id
     infer_shapes(out)  # re-validate
     return out

@@ -38,9 +38,7 @@ def _param_count(node) -> int:
                if name not in skip)
 
 
-def count_complexity(g: ModelGraph, input_shape=None) -> ComplexityReport:
-    if input_shape is not None and tuple(input_shape) != g.input_shape:
-        raise ValueError("input_shape disagrees with the graph")
+def count_complexity(g: ModelGraph) -> ComplexityReport:
     shapes = infer_shapes(g)
     per_layer = {}
     for node in g.nodes.values():
@@ -57,8 +55,11 @@ def count_complexity(g: ModelGraph, input_shape=None) -> ComplexityReport:
     return ComplexityReport(flops=total_f, params=total_p, per_layer=per_layer)
 
 
-def evaluate(g: ModelGraph, dataset, topk: int = 1, batch_size: int = 512):
-    """Top-1 accuracy (and top-k when topk > 1) in eval mode. Argmax
+EVAL_BATCH = 512
+
+
+def evaluate(g: ModelGraph, dataset) -> float:
+    """Top-1 accuracy in eval mode, in batches of ``EVAL_BATCH``. Argmax
     ties break toward the lowest class index."""
     from .engine import forward, logits_node
 
@@ -66,18 +67,11 @@ def evaluate(g: ModelGraph, dataset, topk: int = 1, batch_size: int = 512):
     if len(x) == 0:
         raise ValueError("empty dataset")
     lid = logits_node(g)
-    top1 = 0
-    topk_hits = 0
-    for i in range(0, len(x), batch_size):
-        logits = forward(g, x[i:i + batch_size]).activations[lid]
-        yb = y[i:i + batch_size]
-        top1 += int(np.sum(np.argmax(logits, axis=1) == yb))
-        if topk > 1:
-            part = np.argsort(-logits, axis=1, kind="stable")[:, :topk]
-            topk_hits += int(np.sum(np.any(part == yb[:, None], axis=1)))
-    if topk > 1:
-        return top1 / len(x), topk_hits / len(x)
-    return top1 / len(x)
+    hits = 0
+    for i in range(0, len(x), EVAL_BATCH):
+        logits = forward(g, x[i:i + EVAL_BATCH]).activations[lid]
+        hits += int(np.sum(np.argmax(logits, axis=1) == y[i:i + EVAL_BATCH]))
+    return hits / len(x)
 
 
 # --- Kendall tau distance ----------------------------------------------
@@ -119,10 +113,9 @@ def select_stability_layers(g: ModelGraph, n_layers: int = 4) -> list[str]:
 
 
 def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
-                    batch_sizes, seed: int = 0, labels=None,
-                    layers: list[str] | None = None):
+                    batch_sizes, seed: int = 0, labels=None):
     """Kendall distance between the rankings from nested sample subsets
-    of consecutive sizes.
+    of consecutive sizes, on the ``select_stability_layers`` layers.
 
     Subsets are nested (the size-B set is a prefix of the size-2B set)
     and seed-deterministic. Returns rows
@@ -133,8 +126,7 @@ def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
     sizes = sorted(int(b) for b in batch_sizes)
     if sizes[-1] > len(samples):
         raise ValueError("largest batch size exceeds the sample pool")
-    if layers is None:
-        layers = select_stability_layers(g)
+    layers = select_stability_layers(g)
     perm = make_rng(seed).permutation(len(samples))
     tables = {}
     for b in sizes:

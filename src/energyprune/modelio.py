@@ -23,6 +23,14 @@ class DataFormatError(ValueError):
     """A file does not match its expected format."""
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The file's text; unreadable or non-UTF-8 files are data errors."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _blob_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".bin")
 
@@ -50,9 +58,10 @@ def save_model(g: ModelGraph, path) -> None:
 
 def load_model(path) -> ModelGraph:
     path = Path(path)
+    text = _read_text(path, "model manifest")
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise DataFormatError(f"cannot read model manifest {path}: {exc}") from exc
     if manifest.get("format") != "energyprune-model-v1":
         raise DataFormatError(f"{path}: not an energyprune model manifest")
@@ -83,10 +92,7 @@ def save_dataset(path, x: np.ndarray, y: np.ndarray) -> None:
 
 def load_dataset(path):
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    lines = _read_text(path, "dataset").splitlines()
     shape = None
     xs, ys = [], []
     for line in lines:
@@ -116,11 +122,7 @@ def load_dataset(path):
 def load_config(path) -> dict:
     path = Path(path)
     cfg = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-    for i, line in enumerate(text.splitlines(), 1):
+    for i, line in enumerate(_read_text(path, "config").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -143,7 +145,7 @@ def write_tsv(path, header, rows) -> None:
 
 def read_tsv(path):
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path, "report").splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty report")
     header = lines[0].split("\t")

@@ -1,7 +1,7 @@
 """Turning a ScoreTable into a PruningPlan, executing it, verifying it.
 
-Planning aggregates each removal group's member scores (min by default),
-ranks groups, and removes the lowest until the per-layer ratio or global
+Planning scores each removal group by its lowest member score, ranks
+groups, and removes the lowest until the per-layer ratio or global
 threshold is met. Execution delegates to the structural rewrite and
 cross-checks the plan's predicted shapes and parameter counts.
 """
@@ -14,12 +14,9 @@ import numpy as np
 
 from .criteria import ScoreTable, compute_scores, normalize_layer_l2
 from .engine import TrainConfig, logits_node, train
-from .graph import (ChannelGroup, ModelGraph, RewriteRefusal,
-                    build_channel_groups, infer_shapes,
-                    rewrite_remove_channels)
+from .graph import (ModelGraph, RewriteRefusal, build_channel_groups,
+                    infer_shapes, rewrite_remove_channels)
 from .metrics import count_complexity
-
-AGGREGATIONS = ("min", "mean", "max")
 
 
 class PlanError(ValueError):
@@ -37,7 +34,6 @@ class PruningSpec:
     per_layer_ratios: dict = field(default_factory=dict)  # overrides per layer
     threshold: float = 0.0  # global: target fraction of prunable channels
     criterion: str = "nuclear"
-    group_agg: str = "min"
     protected: list | None = None  # None -> classifier (+ conv stem)
 
     def __post_init__(self):
@@ -50,8 +46,6 @@ class PruningSpec:
                 raise PlanError(f"ratio of layer {lid!r} must be in [0, 1)")
         if not 0.0 <= self.threshold < 1.0:
             raise PlanError("threshold must be in [0, 1)")
-        if self.group_agg not in AGGREGATIONS:
-            raise PlanError(f"group_agg must be one of {AGGREGATIONS}")
 
 
 @dataclass
@@ -83,15 +77,6 @@ def default_protected(g: ModelGraph) -> set:
             protected.add(node.id)
             break
     return protected
-
-
-def _group_score(grp: ChannelGroup, table: ScoreTable, agg: str) -> float:
-    vals = [table.get(lid, ch) for lid, ch in grp.slots]
-    if agg == "min":
-        return min(vals)
-    if agg == "max":
-        return max(vals)
-    return float(np.mean(vals))
 
 
 def _layer_counts(slots) -> dict:
@@ -137,9 +122,14 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
             for lid in scores.scores if lid in g.nodes):
         raise PlanError("score table does not match graph layer widths")
 
+    table = scores if spec.mode == "per-layer" \
+        or scores.normalization == "layer-l2" else normalize_layer_l2(scores)
+
+    def group_score(grp):
+        return min(table.get(lid, ch) for lid, ch in grp.slots)
+
     selected: list = []
     if spec.mode == "per-layer":
-        table = scores
         chosen_groups: dict = {}
         by_layer: dict = {}
         for grp in candidates:
@@ -155,16 +145,14 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
             ranked = sorted(entries, key=lambda e: table.get(lid, e[0]))
             for ch, grp in ranked[:k]:
                 chosen_groups[grp.gid] = grp
-        selected = [(grp, _group_score(grp, table, spec.group_agg))
+        selected = [(grp, group_score(grp))
                     for grp in sorted(chosen_groups.values(), key=sort_key)]
         selected.sort(key=lambda e: e[1])
     else:
-        table = scores if scores.normalization == "layer-l2" \
-            else normalize_layer_l2(scores)
         total = sum(len(grp.slots) for grp in candidates) + sum(done.values())
         target = int(round(spec.threshold * total * frac)) - sum(done.values())
         ranked = sorted(
-            ((grp, _group_score(grp, table, spec.group_agg)) for grp in candidates),
+            ((grp, group_score(grp)) for grp in candidates),
             key=lambda e: (e[1], sort_key(e[0])))
         remaining = {lid: g.nodes[lid].attrs["out"]
                      for lid in {s[0] for grp in candidates for s in grp.slots}}

@@ -396,9 +396,12 @@ def build_reference_arch(name: str) -> ModelGraph:
 
 # --- easy/hard sample selection -----------------------------------------
 
+SELECT_BATCHES = 10
+
+
 def select_by_loss(g: ModelGraph, dataset, mode: str, batch_size: int,
-                   n_batches: int = 10, seed: int = 0):
-    """Among the first ``n_batches`` seed-deterministic batches, the one
+                   seed: int = 0):
+    """Among the first ``SELECT_BATCHES`` seed-deterministic batches, the one
     with the lowest (easy) or highest (hard) mean loss. Ties break
     toward the lowest batch index."""
     if mode not in ("easy", "hard"):
@@ -408,7 +411,7 @@ def select_by_loss(g: ModelGraph, dataset, mode: str, batch_size: int,
     lid = logits_node(g)
     losses = []
     batches = []
-    for b in range(n_batches):
+    for b in range(SELECT_BATCHES):
         idx = perm[b * batch_size:(b + 1) * batch_size]
         if len(idx) == 0:
             break

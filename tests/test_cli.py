@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from energyprune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from energyprune.modelio import SCORE_HEADER, load_model, read_tsv
+from energyprune.modelio import SCORE_HEADER, load_model, read_tsv, save_model
+from energyprune.toybench import build_toy_cnn_plain
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,20 @@ def test_report_renders_tsv(workdir, capsys):
     assert "layer" in capsys.readouterr().out
 
 
+def test_stability_with_gradient_criterion(tmp_path):
+    data = tmp_path / "images"
+    assert main(["gen-data", "--kind", "images", "--samples-per-class", "4",
+                 "--seed", "0", "--out", str(data)]) == 0
+    model = tmp_path / "cnn.json"
+    save_model(build_toy_cnn_plain(seed=0), model)
+    out = tmp_path / "stability.tsv"
+    assert main(["stability", "--model", str(model), "--data", str(data),
+                 "--criterion", "gradient", "--sizes", "4,8",
+                 "--out", str(out)]) == 0
+    _, rows = read_tsv(out)
+    assert len(rows) == 4  # one size pair on 4 layers
+
+
 def test_train_config_file(workdir, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("lr=0.02\nmax_epochs=1\nbatch_size=64\n")
@@ -103,13 +118,23 @@ class TestExitCodes:
         ["fc1\t0\t1.5\tweight\t8\t0", "fc1\t2\t1.5\tweight\t8\t0"],
         ["fc1\t0\tabc\tweight\t8\t0"],
         ["fc1\t0\t1.5"],
-    ], ids=["missing-channel", "non-numeric-score", "short-row"])
+        [f"fc1\t{ch}\t1.5\tweight\t8\t0" for ch in range(3)],
+        ["relu1\t0\t1.5\tweight\t8\t0"],
+    ], ids=["missing-channel", "non-numeric-score", "short-row",
+            "missing-last-channels", "not-a-prunable-layer"])
     def test_wrong_score_table_is_data_error(self, workdir, tmp_path, rows):
         bad = tmp_path / "bad.tsv"
         bad.write_text("\n".join(["\t".join(SCORE_HEADER)] + rows) + "\n")
         assert main(["prune", "--model", str(workdir / "model.json"),
                      "--scores", str(bad),
                      "--out", str(tmp_path / "p.json")]) == EXIT_DATA
+
+    def test_prune_without_score_source_is_config_error(self, workdir,
+                                                        tmp_path, capsys):
+        assert main(["prune", "--model", str(workdir / "model.json"),
+                     "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--scores" in err and "--data" in err
 
     def test_invalid_plan_is_config_error(self, workdir, tmp_path):
         # an unreachable global threshold is a planning error

@@ -115,6 +115,29 @@ def test_saturated_logits_give_vanishing_gradients():
     assert np.max(np.abs(pgrads[("out", "w")])) < 1e-20
 
 
+def test_branch_off_the_logits_gets_no_gradient(blobs):
+    # fc1 feeds both the logits and a Dense branch that reaches no output
+    g = ModelGraph((2,))
+    _dense(g, "fc1", INPUT, 2, 4)
+    _op(g, "relu", "ReLU", "fc1")
+    _dense(g, "side", "relu", 4, 3)
+    _dense(g, "out", "relu", 4, 2)
+    init_params(g, seed=0)
+    x, y = blobs.train_x[:16], blobs.train_y[:16] % 2
+    _, pgrads, node_grads, _ = backward(g, x, y)
+    assert ("side", "w") not in pgrads and ("side", "b") not in pgrads
+    assert "side" not in node_grads
+    assert {("fc1", "w"), ("out", "w")} <= set(pgrads)
+
+    before = {name: a.copy() for name, a in g.nodes["side"].params.items()}
+    cfg = TrainConfig(max_epochs=2, batch_size=8, seed=0)
+    trained, _ = train(g, (blobs.train_x[:32], blobs.train_y[:32] % 2), cfg)
+    for name, a in trained.nodes["side"].params.items():
+        assert np.array_equal(a, before[name])
+    assert not np.array_equal(trained.nodes["fc1"].params["w"],
+                              g.nodes["fc1"].params["w"])
+
+
 def test_logits_node_skips_trailing_softmax():
     g = ModelGraph((3,))
     _dense(g, "out", INPUT, 3, 2)

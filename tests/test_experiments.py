@@ -24,7 +24,9 @@ def test_report_rows_are_formatted():
 def test_run_stability_accepts_external_model():
     g = build_toy_cnn_plain(seed=0)
     samples = make_rng(1).normal(size=(16, 3, 8, 8))
-    rows = run_stability(seed=0, sizes=(4, 8, 16), model=g, samples=samples)
+    labels = np.arange(16) % 4
+    rows = run_stability(seed=0, sizes=(4, 8, 16), model=g,
+                         data=(samples, labels))
     assert {(a, b) for a, b, _, _ in rows} == {(4, 8), (8, 16)}
     assert all(0.0 <= d <= 1.0 for _, _, _, d in rows)
 

@@ -211,7 +211,3 @@ def test_copy_is_deep_for_params():
     assert not np.array_equal(g.nodes["fc1"].params["w"],
                               c.nodes["fc1"].params["w"])
 
-
-def test_consumers():
-    g = build_toy_cnn_residual()
-    assert set(g.consumers("b1.relu2")) == {"b2.conv1", "b2.proj"}

@@ -14,6 +14,16 @@ from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_residual,
                                   build_toy_mlp, gen_blobs)
 
 
+@pytest.mark.parametrize("reader", [load_model, load_dataset, load_config,
+                                    read_tsv],
+                         ids=["model", "dataset", "config", "report"])
+def test_non_utf8_file_is_data_error(tmp_path, reader):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(DataFormatError, match="cannot read"):
+        reader(path)
+
+
 class TestModelRoundtrip:
     def test_topology_and_params_survive(self, tmp_path):
         g = build_toy_cnn_residual(seed=3)

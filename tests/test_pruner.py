@@ -31,10 +31,6 @@ class TestSpecValidation:
         with pytest.raises(PlanError):
             PruningSpec(threshold=-0.1)
 
-    def test_bad_aggregation(self):
-        with pytest.raises(PlanError):
-            PruningSpec(group_agg="median")
-
     @pytest.mark.parametrize("r", [-0.25, 1.0])
     def test_bad_per_layer_ratio(self, r):
         # a negative ratio once made ranked[:k] keep only the top -k
