@@ -6,7 +6,7 @@ ranking reshuffles between consecutive sizes (Kendall tau distance,
 0 = identical order, 1 = reversed). The curve flattens quickly: a few
 hundred samples already pin the ranking down.
 
-Run:  python3 demos/04_rank_stability.py   (about half a minute)
+Run:  python3 demos/04_rank_stability.py   (a few seconds)
 """
 
 import numpy as np

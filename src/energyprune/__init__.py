@@ -17,7 +17,7 @@ from .graph import (ChannelGroup, GraphError, LayerNode, ModelGraph,
                     RewriteRefusal, build_channel_groups, infer_shapes,
                     rewrite_remove_channels)
 from .linalg import (SvdResult, frobenius_norm, make_rng, nuclear_norm,
-                     singular_values, svd)
+                     nuclear_norms, singular_values, svd)
 from .metrics import (ComplexityReport, count_complexity, evaluate,
                       kendall_distance, ranking_from_scores,
                       stability_curve)

@@ -16,12 +16,14 @@ from .engine import DivergenceError, TrainConfig, train
 from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
+from .linalg import ConvergenceError, DomainError
 from .metrics import count_complexity, evaluate
 from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       format_table, load_config, load_dataset, load_model,
                       plan_rows, read_score_table, read_tsv, save_dataset,
                       save_model, score_table_rows, write_tsv)
-from .pruner import PlanError, PruningSpec, execute, plan
+from .pruner import (PlanError, PruningSpec, check_score_widths,
+                     execute, plan)
 from .toybench import (ToyDatasetSpec, ZOO_BUILDERS, build_reference_arch,
                        build_toy_mlp, gen_blobs, gen_class_images)
 
@@ -124,12 +126,10 @@ def cmd_prune(args):
     g = load_model(args.model)
     if args.scores:
         table = read_score_table(args.scores)
-        for lid, vec in table.scores.items():
-            node = g.nodes.get(lid)
-            if node is not None and len(vec) != node.attrs.get("out"):
-                raise DataFormatError(
-                    f"{args.scores}: {len(vec)} scores for layer {lid!r}, "
-                    f"which has {node.attrs.get('out', 0)} prunable channels")
+        try:
+            check_score_widths(g, table)
+        except PlanError as exc:
+            raise DataFormatError(f"{args.scores}: {exc}") from exc
     else:
         x, y = load_dataset(Path(args.data) / "train.csv")
         table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
@@ -173,9 +173,9 @@ def cmd_count(args):
 def cmd_stability(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     model = data = None
+    if bool(args.model) != bool(args.data):
+        raise ValueError("stability takes --model and --data together")
     if args.model:
-        if not args.data:
-            raise ValueError("stability --model needs --data")
         model = load_model(args.model)
         data = load_dataset(Path(args.data) / "train.csv")
     rows = run_stability(seed=args.seed, sizes=sizes, criterion=args.criterion,
@@ -291,12 +291,13 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (DivergenceError, FloatingPointError, ConvergenceError,
+            DomainError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (PlanError, GraphError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .engine import (ActivationRecord, GradientRecord, capture_activations,
                      capture_points, forward, logits_node)
 from .graph import INPUT, ModelGraph
-from .linalg import nuclear_norm
+from .linalg import DomainError, nuclear_norms
 
 CRITERIA = ("nuclear", "weight", "gradient", "taylor", "lrp")
 
@@ -37,8 +37,10 @@ class ScoreTable:
 
     def validate(self):
         for lid, vec in self.scores.items():
-            if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-                raise ValueError(f"invalid scores for layer {lid!r}")
+            if not np.all(np.isfinite(vec)):
+                raise DomainError(f"non-finite scores for layer {lid!r}")
+            if np.any(vec < 0):
+                raise ValueError(f"negative scores for layer {lid!r}")
         return self
 
 
@@ -48,14 +50,12 @@ def scored_layers(g: ModelGraph) -> list[str]:
 
 
 def _nuclear_channel_scores(rec: ActivationRecord) -> np.ndarray:
-    def one(i: int) -> float:
-        a = rec.channel_matrix(i)
-        if a.shape[1] == 1:
-            # nuclear norm of an N x 1 matrix is its Euclidean norm
-            return float(np.linalg.norm(a))
-        return nuclear_norm(a)
-
-    return np.array([one(i) for i in range(rec.n_channels)])
+    """One layer's channel matrices scored as one (C, N, h*w) stack."""
+    stack = rec.channel_stack()
+    if stack.shape[2] == 1:
+        # nuclear norm of an N x 1 matrix is its Euclidean norm
+        return np.array([float(np.linalg.norm(a)) for a in stack])
+    return nuclear_norms(stack)
 
 
 def score_nuclear(records: list[ActivationRecord], seed: int = 0) -> ScoreTable:

@@ -60,10 +60,11 @@ class ActivationRecord:
     def n_channels(self) -> int:
         return self.values.shape[1]
 
-    def channel_matrix(self, i: int) -> np.ndarray:
-        """Channel i matricized to N x (h*w); N x 1 for dense neurons."""
-        ch = self.values[:, i]
-        return ch.reshape(ch.shape[0], -1)
+    def channel_stack(self) -> np.ndarray:
+        """Every channel matricized to N x (h*w), stacked to (C, N, h*w);
+        N x 1 for dense neurons."""
+        return self.values.reshape(self.n_samples, self.n_channels, -1) \
+            .transpose(1, 0, 2)
 
 
 @dataclass

@@ -1,21 +1,21 @@
-"""SVD and nuclear-norm kernels plus the tensor blob format.
+"""SVD and nuclear-norm kernels, all in float64.
 
-All scoring math runs in float64; float32 appears only at the
-serialization boundary (see :func:`write_blob` / :func:`read_blob`).
-The SVD is a one-sided Jacobi, accurate and simple at the matrix sizes
-this package sees (a few thousand rows at most).
+Every SVD and nuclear norm goes through one kernel, :func:`_jacobi`: a
+stack of tall matrices is reduced to its triangular QR factors, then
+one-sided Jacobi rotates all n/2 disjoint column pairs of every matrix
+at once per round-robin round (Brent & Luk 1985; QR preconditioning as
+in Drmač & Veselić 2008). A whole layer's channels are one stack.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-# Converged when every normalized off-diagonal column product in a full
-# sweep is below this.
+# A matrix has converged after a full sweep in which every normalized
+# off-diagonal column product is below this.
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
 
@@ -29,6 +29,10 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Operand values are outside an operation's domain (NaN/inf)."""
+
+
+class ConvergenceError(ArithmeticError):
+    """Jacobi left a matrix unconverged after JACOBI_MAX_SWEEPS sweeps."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -47,59 +51,119 @@ class SvdResult:
         return (self.u * self.s) @ self.v.T
 
 
+def _check_stack(a: np.ndarray) -> np.ndarray:
+    """a as a float64 (C, m, n) stack, each matrix non-empty and finite."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3:
+        raise ShapeError(f"expected a (C, m, n) stack, got ndim={a.ndim}")
+    if a.shape[1] < 1 or a.shape[2] < 1:
+        raise ShapeError(f"empty matrices {a.shape[1:]}")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+    if bad.size:
+        raise DomainError(f"matrix {bad[0]} contains non-finite entries")
+    return a
+
+
 def _check_matrix(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"empty matrix {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix contains non-finite entries")
-    return a
+    return _check_stack(a[None])[0]
 
 
-def _jacobi_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a tall (m >= n) matrix; returns (u, s, v)."""
-    m, n = a.shape
-    # w (rows :m) and v (rows m:) stacked, so one rotation updates both
-    wv = np.concatenate([a, np.eye(n)])
-    cols = [wv[:, j] for j in range(n)]
-    wcols = [col[:m] for col in cols]
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple:
+    """The n - 1 rounds of a round-robin tournament on n (even) columns,
+    each as (p, q) index arrays of n/2 disjoint pairs (circle method)."""
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = sorted(sorted(pr) for pr in zip(ring[:n // 2], ring[::-1]))
+        rounds.append((np.array([p for p, _ in pairs]),
+                       np.array([q for _, q in pairs])))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
+
+
+def _jacobi(a: np.ndarray, want_v: bool):
+    """One-sided Jacobi SVD of a (C, m, n) stack of tall (m >= n) matrices.
+
+    Each matrix is scaled by a power of two to a largest entry in
+    [0.5, 1) (as far as the exponent range allows) and reduced to
+    R = Q^T a (n x n), whose columns are rotated until mutually
+    orthogonal: R V = W. Returns (s, q, u, v): s (C, n) holds each
+    matrix's singular values, non-increasing, those at most SV_CLAMP_REL
+    of the largest set to 0. With ``want_v``, a = q @ u @ diag(s) @ v.T,
+    and u's columns for s = 0 are 0; else q, u and v are None. A matrix
+    stops changing once a sweep leaves every column pair below
+    JACOBI_TOL, so its result does not depend on the other matrices of
+    the stack.
+    """
+    c, _, n = a.shape
+    exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
+    scale = np.ldexp(1.0, -np.clip(exponent, -1000, 1000))
+    a = a * scale[:, None, None]
+    if want_v:
+        q, r = np.linalg.qr(a)
+    else:
+        q, r = None, np.linalg.qr(a, mode="r")
+    # A column shorter than SV_CLAMP_REL * |a|_F moves no singular value
+    # by more than that. Rotating it only chases rounding noise (R of a
+    # matrix with repeated columns is graded down towards underflow), so
+    # it is left alone.
+    floor = SV_CLAMP_REL ** 2 * np.einsum("cij,cij->c", r, r)[:, None]
+    n2 = n + n % 2  # an odd n gets one zero column, which never rotates
+    # column j of W is row j of ``cols``; V's column j follows it
+    cols = np.zeros((c, n2, n + n2 if want_v else n))
+    cols[:, :n, :n] = r.transpose(0, 2, 1)
+    if want_v:
+        cols[:, :, n:] = np.eye(n2)
+    done = np.zeros(c, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            wp = wcols[p]
-            for q in range(p + 1, n):
-                wq = wcols[q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                apq = float(wp @ wq)
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= JACOBI_TOL * denom:
-                    continue
-                off = max(off, abs(apq) / denom)
-                theta = 0.5 * np.arctan2(2.0 * apq, app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                xp, xq = cols[p], cols[q]
-                xp[...], xq[...] = c * xp + s * xq, -s * xp + c * xq
-        if off <= JACOBI_TOL:
+        live = np.flatnonzero(~done)
+        x, lo = cols[live], floor[live]
+        rotated = np.zeros(live.size, dtype=bool)
+        for ip, iq in _round_robin(n2):
+            wp, wq = x[:, ip], x[:, iq]
+            rp, rq = wp[..., :n], wq[..., :n]  # W's rows; V's follow
+            app = np.einsum("ckr,ckr->ck", rp, rp)
+            aqq = np.einsum("ckr,ckr->ck", rq, rq)
+            apq = np.einsum("ckr,ckr->ck", rp, rq)
+            rot = (np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq)) \
+                & (np.minimum(app, aqq) > lo)
+            if not rot.any():
+                continue
+            rotated |= rot.any(axis=1)
+            # inner rotation, |angle| <= pi/4; a pair below the tolerance
+            # gets t = 0, which is exactly c = 1, s = 0
+            zeta = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
+            t = np.where(rot, np.copysign(
+                1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
+            cs = 1.0 / np.hypot(1.0, t)[..., None]
+            sn = t[..., None] * cs
+            x[:, ip] = cs * wp - sn * wq
+            x[:, iq] = sn * wp + cs * wq
+        cols[live] = x
+        done[live] = ~rotated
+        if done.all():
             break
-    w = wv[:m]
-    v = wv[m:]
-    s = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    w = w[:, order]
-    v = v[:, order]
-    smax = s[0] if s.size else 0.0
-    s = np.where(s <= SV_CLAMP_REL * smax, 0.0, s)
-    u = np.zeros((m, n))
-    nonzero = s > 0
-    u[:, nonzero] = w[:, nonzero] / s[nonzero]
-    if not nonzero.all():
-        u = _complete_orthonormal(u, nonzero)
-    return u, s, v
+    else:
+        raise ConvergenceError(
+            f"{np.count_nonzero(~done)} of {c} matrices unconverged after "
+            f"{JACOBI_MAX_SWEEPS} Jacobi sweeps")
+    w = cols[:, :n, :n].transpose(0, 2, 1)
+    s = np.sqrt(np.einsum("cij,cij->cj", w, w))
+    order = np.argsort(-s, axis=1, kind="stable")
+    s = np.take_along_axis(s, order, axis=1)
+    s = np.where(s <= SV_CLAMP_REL * s[:, :1], 0.0, s)
+    if not want_v:
+        return s / scale[:, None], None, None, None
+    w = np.take_along_axis(w, order[:, None, :], axis=2)
+    v = np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
+                           order[:, None, :], axis=2)
+    u = np.divide(w, s[:, None, :], out=np.zeros_like(w),
+                  where=s[:, None, :] > 0)
+    return s / scale[:, None], q, u, v
 
 
 def _complete_orthonormal(u: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -126,49 +190,37 @@ def _complete_orthonormal(u: np.ndarray, good: np.ndarray) -> np.ndarray:
 
 
 def svd(a: np.ndarray) -> SvdResult:
-    """One-sided Jacobi SVD: a = u @ diag(s) @ v.T with r = min(m, n).
+    """Jacobi SVD: a = u @ diag(s) @ v.T with r = min(m, n).
 
     Wide matrices are transposed internally and u/v swapped back.
     """
     a = _check_matrix(a)
-    m, n = a.shape
-    if n > m:
-        u, s, v = _jacobi_tall(a.T)
-        u, v = v, u
-    else:
-        u, s, v = _jacobi_tall(a)
-    return SvdResult(u=u, s=s, v=v)
+    wide = a.shape[1] > a.shape[0]
+    tall = a.T if wide else a
+    s, q, u, v = (x[0] for x in _jacobi(tall[None], want_v=True))
+    if not (s > 0).all():
+        u = _complete_orthonormal(u, s > 0)
+    u = q @ u
+    return SvdResult(u=v, s=s, v=u) if wide else SvdResult(u=u, s=s, v=v)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     return svd(a).s
 
 
+def nuclear_norms(stack: np.ndarray) -> np.ndarray:
+    """Sum of singular values of each matrix of a (C, m, n) stack."""
+    stack = _check_stack(stack)
+    if stack.shape[2] > stack.shape[1]:
+        stack = stack.transpose(0, 2, 1)
+    return _jacobi(stack, want_v=False)[0].sum(axis=1)
+
+
 def nuclear_norm(a: np.ndarray) -> float:
     """Sum of singular values of a."""
-    return float(np.sum(svd(a).s))
+    return float(nuclear_norms(_check_matrix(a)[None])[0])
 
 
 def frobenius_norm(a: np.ndarray) -> float:
     a = _check_matrix(a)
     return float(np.sqrt(np.sum(a * a)))
-
-
-# --- tensor blob format -------------------------------------------------
-#
-# Little-endian: u32 rank, u32 extent per axis, then row-major IEEE-754
-# float32 payload.
-
-def write_blob(fh, a: np.ndarray) -> None:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    fh.write(struct.pack("<I", a.ndim))
-    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-    fh.write(a.astype("<f4").tobytes())
-
-
-def read_blob(fh) -> np.ndarray:
-    (rank,) = struct.unpack("<I", fh.read(4))
-    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-    count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4", count=count)
-    return data.astype(np.float64).reshape(shape)

@@ -3,20 +3,22 @@
 The manifest is JSON (topology, attributes, tensor index); tensors live
 in a sidecar ``.bin`` blob, each serialized as u32 rank, u32 extents,
 then row-major little-endian float32. Saving is deterministic, so
-save(load(save(g))) is byte-identical.
+save(load(save(g))) is byte-identical. All math runs in float64; float32
+appears only in the blob.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from .criteria import ScoreTable
 from .graph import LayerNode, ModelGraph
-from .linalg import read_blob, write_blob
 
 
 class DataFormatError(ValueError):
@@ -29,6 +31,31 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# --- tensor blob: little-endian u32 rank, u32 extent per axis, then the
+# row-major IEEE-754 float32 payload
+
+def write_blob(fh, a: np.ndarray) -> None:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    fh.write(struct.pack("<I", a.ndim))
+    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
+    fh.write(a.astype("<f4").tobytes())
+
+
+def read_blob(fh) -> np.ndarray:
+    """The next tensor of fh; a blob cut short is a data error."""
+    def take(size: int) -> bytes:
+        raw = fh.read(size)
+        if len(raw) != size:
+            raise DataFormatError(
+                f"tensor blob truncated: needed {size} bytes, found {len(raw)}")
+        return raw
+
+    (rank,) = struct.unpack("<I", take(4))
+    shape = struct.unpack(f"<{rank}I", take(4 * rank))
+    data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+    return data.astype(np.float64).reshape(shape)
 
 
 def _blob_path(path: Path) -> Path:
@@ -63,18 +90,23 @@ def load_model(path) -> ModelGraph:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"cannot read model manifest {path}: {exc}") from exc
-    if manifest.get("format") != "energyprune-model-v1":
+    if not isinstance(manifest, dict) \
+            or manifest.get("format") != "energyprune-model-v1":
         raise DataFormatError(f"{path}: not an energyprune model manifest")
-    g = ModelGraph(manifest["input_shape"])
-    for spec in manifest["nodes"]:
-        g.add(LayerNode(spec["id"], spec["kind"], dict(spec["attrs"]),
-                        {}, list(spec["inputs"])))
-    g.set_output(manifest["output"])
-    blob = _blob_path(path).read_bytes()
-    fh = io.BytesIO(blob)
-    for entry in manifest["tensors"]:
-        fh.seek(entry["offset"])
-        g.nodes[entry["node"]].params[entry["name"]] = read_blob(fh)
+    fh = io.BytesIO(_blob_path(path).read_bytes())
+    try:
+        g = ModelGraph(manifest["input_shape"])
+        for spec in manifest["nodes"]:
+            g.add(LayerNode(spec["id"], spec["kind"], dict(spec["attrs"]),
+                            {}, list(spec["inputs"])))
+        g.set_output(manifest["output"])
+        for entry in manifest["tensors"]:
+            fh.seek(entry["offset"])
+            g.nodes[entry["node"]].params[entry["name"]] = read_blob(fh)
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(
+            f"{path}: malformed model manifest ({type(exc).__name__}: {exc})"
+        ) from exc
     return g
 
 

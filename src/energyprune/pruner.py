@@ -86,6 +86,18 @@ def _layer_counts(slots) -> dict:
     return counts
 
 
+def check_score_widths(g: ModelGraph, scores: ScoreTable) -> None:
+    """Every layer of g a score table names must be a Dense/Conv2D layer
+    with one score per output channel."""
+    for lid, vec in scores.scores.items():
+        node = g.nodes.get(lid)
+        if node is not None and len(vec) != node.attrs.get("out"):
+            raise PlanError(
+                f"score table does not match graph layer widths: {len(vec)} "
+                f"scores for layer {lid!r}, which has "
+                f"{node.attrs.get('out', 0)} prunable channels")
+
+
 def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
     """Select removal groups by score; per-layer mode takes the
     floor(r_l * c_l) lowest channels of each layer (closed under
@@ -117,10 +129,7 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
         if any(lid not in scores.scores for lid, _ in grp.slots):
             continue
         candidates.append(grp)
-    if scores.scores and not all(
-            len(scores.scores[lid]) == g.nodes[lid].attrs["out"]
-            for lid in scores.scores if lid in g.nodes):
-        raise PlanError("score table does not match graph layer widths")
+    check_score_widths(g, scores)
 
     table = scores if spec.mode == "per-layer" \
         or scores.normalization == "layer-l2" else normalize_layer_l2(scores)

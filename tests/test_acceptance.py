@@ -21,9 +21,11 @@ from energyprune.engine import capture_activations, forward, logits_node
 from energyprune.experiments import (run_data_quality, run_stability,
                                      run_toy_experiment)
 from energyprune.graph import build_channel_groups, rewrite_remove_channels
-from energyprune.linalg import make_rng, nuclear_norm, svd
+from energyprune.linalg import (make_rng, nuclear_norm, nuclear_norms,
+                                svd)
 from energyprune.metrics import count_complexity, kendall_distance
-from energyprune.toybench import build_reference_arch, build_zoo
+from energyprune.toybench import (build_reference_arch, build_toy_mlp,
+                                  build_zoo)
 from helpers import oracle_nuclear_norm
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -262,6 +264,29 @@ def test_criterion_9_scoring_is_thread_invariant():
             assert table.scores.keys() == serial.scores.keys()
             for lid in serial.scores:
                 assert np.array_equal(table.scores[lid], serial.scores[lid])
+
+
+def test_criterion_9_channel_scores_are_stack_composition_invariant():
+    # the batched kernel scores a layer's channels as one stack; a
+    # channel's score must not depend on the channels stacked with it
+    for n in (4, 16):
+        for g in build_zoo(k=4, seed=0).values():
+            x = make_rng(n).normal(size=(n,) + g.input_shape)
+            for rec in capture_activations(g, x):
+                stack = rec.channel_stack()
+                full = nuclear_norms(stack)
+                assert np.array_equal(
+                    score_nuclear([rec]).scores[rec.layer_id], full)
+                for i in range(rec.n_channels):
+                    assert np.array_equal(nuclear_norms(stack[i:i + 1]),
+                                          full[i:i + 1])
+    # dense neurons skip the kernel: each is the norm of its N x 1 matrix
+    g = build_toy_mlp(hidden=16, seed=0)
+    for rec in capture_activations(g, make_rng(1).normal(size=(32, 2))):
+        expect = [float(np.linalg.norm(rec.values[:, i].reshape(-1, 1)))
+                  for i in range(rec.n_channels)]
+        assert np.array_equal(score_nuclear([rec]).scores[rec.layer_id],
+                              expect)
 
 
 def test_criterion_9_scoring_is_batch_composition_invariant():

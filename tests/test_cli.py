@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from energyprune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from energyprune.modelio import SCORE_HEADER, load_model, read_tsv, save_model
-from energyprune.toybench import build_toy_cnn_plain
+from energyprune.modelio import (SCORE_HEADER, load_dataset, load_model,
+                                 read_tsv, save_dataset, save_model)
+from energyprune.toybench import build_toy_cnn_plain, build_toy_mlp
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,41 @@ class TestExitCodes:
                          "--max-epochs", "3", "--batch-size", "32",
                          "--out", str(tmp_path / "m.json")])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    def test_non_finite_activations_are_numeric_error(self, tmp_path, kind):
+        if kind == "conv":
+            data_args = ["--kind", "images", "--samples-per-class", "2"]
+            g = build_toy_cnn_plain(seed=0)
+        else:
+            data_args = ["--kind", "blobs", "--samples-per-class", "4"]
+            g = build_toy_mlp(hidden=8, seed=0)
+        data = tmp_path / "data"
+        assert main(["gen-data", *data_args, "--out", str(data)]) == 0
+        x, y = load_dataset(data / "train.csv")
+        x.flat[3] = np.nan
+        save_dataset(data / "train.csv", x, y)
+        model = tmp_path / "m.json"
+        save_model(g, model)
+        with np.errstate(all="ignore"):
+            code = main(["score", "--model", str(model), "--data", str(data),
+                         "--out", str(tmp_path / "s.tsv")])
+        assert code == EXIT_NUMERIC
+
+    def test_truncated_model_blob_is_data_error(self, workdir, tmp_path):
+        model = tmp_path / "m.json"
+        save_model(load_model(workdir / "model.json"), model)
+        blob = tmp_path / "m.json.bin"
+        blob.write_bytes(blob.read_bytes()[:-5])
+        assert main(["eval", "--model", str(model),
+                     "--data", str(workdir / "data")]) == EXIT_DATA
+
+    def test_stability_data_without_model_is_config_error(self, tmp_path,
+                                                          capsys):
+        assert main(["stability", "--data", str(tmp_path / "nope"),
+                     "--sizes", "4,8"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--model" in err and "--data" in err
 
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -188,8 +188,8 @@ class TestCapture:
         x = make_rng(1).normal(size=(5, 3, 8, 8))
         rec = capture_activations(g, x)[0]
         assert rec.n_samples == 5 and rec.n_channels == 16
-        assert rec.channel_matrix(3).shape == (5, 64)
-        assert np.array_equal(rec.channel_matrix(3),
+        assert rec.channel_stack().shape == (16, 5, 64)
+        assert np.array_equal(rec.channel_stack()[3],
                               rec.values[:, 3].reshape(5, -1))
 
 

@@ -1,5 +1,5 @@
 """SVD/nuclear-norm kernels against an eigendecomposition oracle, plus
-the tensor blob format."""
+the tensor blob format (written and read by ``modelio``)."""
 
 import ast
 import io
@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import energyprune
-from energyprune.linalg import (DomainError, ShapeError, frobenius_norm,
-                                make_rng, nuclear_norm, read_blob,
-                                singular_values, svd, write_blob)
+from energyprune import linalg
+from energyprune.linalg import (ConvergenceError, DomainError, ShapeError,
+                                frobenius_norm, make_rng, nuclear_norm,
+                                nuclear_norms, singular_values, svd)
+from energyprune.modelio import read_blob, write_blob
 from helpers import oracle_nuclear_norm, oracle_singular_values
 
 
@@ -75,6 +77,62 @@ class TestSvd:
             svd(np.array([[1.0, np.nan]]))
         with pytest.raises(DomainError):
             frobenius_norm(np.array([[np.inf, 0.0]]))
+
+
+class TestJacobiKernel:
+    @pytest.mark.parametrize("n", [2, 4, 6, 16])
+    def test_round_robin_pairs_every_column_pair_once(self, n):
+        seen = []
+        for p, q in linalg._round_robin(n):
+            assert sorted(np.concatenate([p, q]).tolist()) == list(range(n))
+            seen += [tuple(pq) for pq in zip(p.tolist(), q.tolist())]
+        assert sorted(seen) == [(p, q) for p in range(n)
+                                for q in range(p + 1, n)]
+
+    def test_nonconvergence_is_reported(self, monkeypatch):
+        a = make_rng(16).normal(size=(16, 16))
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            nuclear_norm(a)
+        with pytest.raises(ConvergenceError):
+            svd(a)
+
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (16, 16), (1, 6)])
+    def test_repeated_columns_converge(self, shape):
+        # QR of equal columns leaves trailing rows graded towards underflow
+        rng = make_rng(shape[0])
+        col = rng.normal(size=(shape[0], 1))
+        for a in (np.full(shape, 0.37), np.repeat(col, shape[1], axis=1)):
+            nn = nuclear_norm(a)
+            assert nn == pytest.approx(np.linalg.norm(a), rel=1e-12)
+            res = svd(a)
+            assert np.sum(res.s > 0) == 1
+            assert np.max(np.abs(res.reconstruct() - a)) < 1e-12 * nn
+            assert _ortho_err(res.u) < 1e-10 and _ortho_err(res.v) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150])
+    def test_scale_invariant(self, scale):
+        a = make_rng(3).normal(size=(7, 5))
+        assert nuclear_norm(scale * a) / scale == pytest.approx(
+            nuclear_norm(a), rel=1e-12)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        stack = make_rng(4).normal(size=(6, 5, 9))
+        stack[2] = 0.0
+        stack[4, :, 1:] = stack[4, :, :1]
+        full = nuclear_norms(stack)
+        assert full[2] == 0.0
+        for i, a in enumerate(stack):
+            assert full[i] == nuclear_norms(a[None])[0] == nuclear_norm(a)
+        assert np.array_equal(nuclear_norms(stack[::-1])[::-1], full)
+
+    def test_stack_validation(self):
+        with pytest.raises(ShapeError):
+            nuclear_norms(np.zeros((3, 3)))
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(DomainError, match="matrix 1"):
+            nuclear_norms(stack)
 
 
 finite_matrices = st.integers(1, 12).flatmap(

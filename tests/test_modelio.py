@@ -1,5 +1,7 @@
 """File formats: model manifest + blob, datasets, configs, reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,27 @@ class TestModelRoundtrip:
             load_model(path)
         with pytest.raises(DataFormatError):
             load_model(tmp_path / "missing.json")
+
+    def test_truncated_blob(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), path)
+        blob = tmp_path / "m.json.bin"
+        full = blob.read_bytes()
+        for cut in (len(full) - 1, 6, 2):
+            blob.write_bytes(full[:cut])
+            with pytest.raises(DataFormatError, match="truncated"):
+                load_model(path)
+
+    @pytest.mark.parametrize("key", ["input_shape", "nodes", "output",
+                                     "tensors"])
+    def test_manifest_missing_key(self, tmp_path, key):
+        path = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), path)
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=key):
+            load_model(path)
 
 
 class TestDatasetRoundtrip:

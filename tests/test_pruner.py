@@ -171,6 +171,12 @@ class TestPlanIntegrity:
             plan(g, scores, PruningSpec(mode="per-layer", ratio=0.25,
                                         criterion="weight"))
 
+    def test_scores_for_a_non_prunable_node(self):
+        g = build_toy_cnn_plain(seed=0)
+        table = ScoreTable("weight", scores={"c1.bn": np.ones(16)})
+        with pytest.raises(PlanError, match="c1.bn"):
+            plan(g, table, PruningSpec(mode="per-layer", ratio=0.3))
+
     def test_custom_protected_layers(self):
         g = build_toy_mlp(hidden=4, seed=0)
         table = compute_scores(g, "weight", None)
