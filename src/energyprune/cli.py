@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .criteria import CRITERIA, compute_scores
-from .engine import DivergenceError, TrainConfig, train
+from .engine import DivergenceError, TrainConfig, init_params, train
 from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
@@ -74,7 +74,7 @@ def _build_arch(name: str, seed: int):
         return build_toy_mlp(seed=seed)
     if name in ZOO_BUILDERS:
         return ZOO_BUILDERS[name](4, seed)
-    return build_reference_arch(name)
+    return init_params(build_reference_arch(name), seed)
 
 
 def cmd_gen_data(args):
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, FloatingPointError, ConvergenceError,

@@ -1,10 +1,14 @@
 """Layer-graph IR: shape inference, channel-dependency groups, rewriting.
 
-A ModelGraph is a DAG of LayerNodes wired producer -> consumer. Channel
-dependency analysis finds which output channels must be removed together
-(residual adds tie channels positionally; concatenations only shift
-offsets), and ``rewrite_remove_channels`` produces a genuinely smaller
-graph whose forward pass matches the masked original.
+A ModelGraph is a DAG of LayerNodes wired producer -> consumer, with
+``INPUT`` naming the graph input. Shape inference, channel provenance
+and the rewrite are each one walk in topological order over a table
+seeded with the graph input's entry. Channel dependency analysis finds
+which output channels must be removed together (residual adds tie
+channels positionally; concatenations only shift offsets), and
+``rewrite_remove_channels`` derives each node's keep mask from its own
+removals and its inputs' masks, slicing its tensors into a genuinely
+smaller graph whose forward pass matches the masked original.
 """
 
 from __future__ import annotations
@@ -43,11 +47,6 @@ class LayerNode:
     params: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
 
-    def copy(self) -> "LayerNode":
-        return LayerNode(self.id, self.kind, dict(self.attrs),
-                         {k: v.copy() for k, v in self.params.items()},
-                         list(self.inputs))
-
 
 class ModelGraph:
     """DAG of layers with a single designated output node.
@@ -64,7 +63,7 @@ class ModelGraph:
     def add(self, node: LayerNode) -> LayerNode:
         if node.kind not in KINDS:
             raise GraphError(f"unknown layer kind {node.kind!r}")
-        if node.id in self.nodes:
+        if node.id in self.nodes or node.id == INPUT:
             raise GraphError(f"duplicate node id {node.id!r}")
         for src in node.inputs:
             if src != INPUT and src not in self.nodes:
@@ -80,7 +79,10 @@ class ModelGraph:
 
     def copy(self) -> "ModelGraph":
         g = ModelGraph(self.input_shape)
-        g.nodes = {nid: node.copy() for nid, node in self.nodes.items()}
+        g.nodes = {nid: LayerNode(nid, n.kind, dict(n.attrs),
+                                  {k: v.copy() for k, v in n.params.items()},
+                                  list(n.inputs))
+                   for nid, n in self.nodes.items()}
         g.output_id = self.output_id
         return g
 
@@ -102,13 +104,9 @@ def _pool_out(size, k, stride, pad=0):
 
 
 def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
-    shapes: dict[str, tuple] = {}
-
-    def shape_of(src):
-        return g.input_shape if src == INPUT else shapes[src]
-
+    shapes: dict[str, tuple] = {INPUT: g.input_shape}
     for node in g.nodes.values():
-        ins = [shape_of(s) for s in node.inputs]
+        ins = [shapes[s] for s in node.inputs]
         k = node.kind
         if k == "Dense":
             (s,) = ins
@@ -165,6 +163,7 @@ def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
             raise GraphError(f"unhandled kind {k}")
     if g.output_id is None:
         raise GraphError("empty graph")
+    del shapes[INPUT]
     return shapes
 
 
@@ -208,13 +207,7 @@ def channel_provenance(g: ModelGraph):
     shapes = infer_shapes(g)  # validates wiring first
     uf = _UnionFind()
     frozen: set = set()
-    prov: dict[str, list] = {}
-
-    def prov_of(src, width):
-        if src == INPUT:
-            return [None] * width
-        return prov[src]
-
+    prov: dict[str, list] = {INPUT: [None] * g.input_shape[0]}
     for node in g.nodes.values():
         k = node.kind
         if k in ("Dense", "Conv2D"):
@@ -223,17 +216,12 @@ def channel_provenance(g: ModelGraph):
                 uf.add(s)
             prov[node.id] = slots
         elif k in PASSTHROUGH:
-            src = node.inputs[0]
-            width = shapes[node.id][0]
-            prov[node.id] = prov_of(src, width)
+            prov[node.id] = prov[node.inputs[0]]
         elif k == "Flatten":
             prov[node.id] = [None] * shapes[node.id][0]
         elif k == "Add":
-            width = shapes[node.id][0]
-            lists = [prov_of(s, width) for s in node.inputs]
             merged = []
-            for i in range(width):
-                members = [lst[i] for lst in lists]
+            for members in zip(*(prov[s] for s in node.inputs)):
                 real = [m for m in members if m is not None]
                 for a, b in zip(real, real[1:]):
                     uf.union(a, b)
@@ -241,13 +229,9 @@ def channel_provenance(g: ModelGraph):
                     frozen.update(real)  # tied to graph-input channels
                 merged.append(real[0] if real else None)
             prov[node.id] = merged
-        elif k == "Concat":
-            out = []
-            for s in node.inputs:
-                out.extend(prov_of(s, shapes[s][0] if s != INPUT else g.input_shape[0]))
-            prov[node.id] = out
-        else:  # pragma: no cover
-            raise GraphError(f"unhandled kind {k}")
+        else:  # Concat
+            prov[node.id] = [s for src in node.inputs for s in prov[src]]
+    del prov[INPUT]
     return prov, uf, frozen
 
 
@@ -279,77 +263,51 @@ def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
 
 # --- structural rewrite -------------------------------------------------
 
-def _keep_masks(g: ModelGraph, removed_slots: set) -> dict[str, np.ndarray]:
-    """Boolean keep-mask over each node's output channels (or features)."""
-    shapes = infer_shapes(g)
-    masks: dict[str, np.ndarray] = {}
-
-    def mask_of(src):
-        if src == INPUT:
-            return np.ones(g.input_shape[0], dtype=bool)
-        return masks[src]
-
-    for node in g.nodes.values():
-        k = node.kind
-        if k in ("Dense", "Conv2D"):
-            keep = np.ones(node.attrs["out"], dtype=bool)
-            for _, ch in (s for s in removed_slots if s[0] == node.id):
-                keep[ch] = False
-            if not keep.any():
-                raise RewriteRefusal(f"removal set empties layer {node.id!r}")
-            masks[node.id] = keep
-        elif k in PASSTHROUGH:
-            masks[node.id] = mask_of(node.inputs[0])
-        elif k == "Flatten":
-            s = shapes[node.inputs[0]] if node.inputs[0] != INPUT else g.input_shape
-            per_channel = int(np.prod(s[1:])) if len(s) > 1 else 1
-            masks[node.id] = np.repeat(mask_of(node.inputs[0]), per_channel)
-        elif k == "Add":
-            ms = [mask_of(s) for s in node.inputs]
-            if any(not np.array_equal(m, ms[0]) for m in ms[1:]):
-                raise GraphError(
-                    f"{node.id}: removal set is not closed under the Add "
-                    "channel grouping")
-            masks[node.id] = ms[0]
-        elif k == "Concat":
-            masks[node.id] = np.concatenate([mask_of(s) for s in node.inputs])
-        else:  # pragma: no cover
-            raise GraphError(f"unhandled kind {k}")
-    return masks
-
-
 def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
     """Return a new graph with the given channels structurally removed.
 
     ``removals`` is an iterable of (layer_id, ch) slots; it must be
-    closed under the graph's channel grouping.
+    closed under the graph's channel grouping. One topological walk
+    derives each node's keep mask over its output channels (or features)
+    from its own removals and its inputs' masks, and copies the node's
+    kept tensor entries once into the new graph; an empty removal set
+    yields an exact copy.
     """
-    removed = {(lid, int(ch)) for lid, ch in removals}
-    for layer_id, _ in removed:
+    removed: dict = {}
+    for layer_id, ch in removals:
         if layer_id not in g.nodes:
             raise GraphError(f"removal names unknown layer {layer_id!r}")
-    masks = _keep_masks(g, removed)
-
-    # node by node: a whole g.copy() first would hold every tensor twice
+        removed.setdefault(layer_id, []).append(int(ch))
+    shapes = infer_shapes(g)
+    masks = {INPUT: np.ones(g.input_shape[0], dtype=bool)}
     out = ModelGraph(g.input_shape)
     for node in g.nodes.values():
-        node = out.nodes[node.id] = node.copy()
-        k = node.kind
+        k, attrs = node.kind, dict(node.attrs)
+        ins = [masks[s] for s in node.inputs]
         if k in ("Dense", "Conv2D"):
-            in_keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
-                else np.ones(node.attrs["in"], dtype=bool)
-            keep = masks[node.id]
-            node.params["w"] = node.params["w"][keep][:, in_keep]
-            if "b" in node.params:
-                node.params["b"] = node.params["b"][keep]
-            node.attrs["in"] = int(in_keep.sum())
-            node.attrs["out"] = int(keep.sum())
-        elif k == "BatchNorm":
-            keep = masks[node.inputs[0]] if node.inputs[0] != INPUT \
-                else np.ones(node.attrs["channels"], dtype=bool)
-            for name in ("gamma", "beta", "mean", "var"):
-                node.params[name] = node.params[name][keep]
-            node.attrs["channels"] = int(keep.sum())
+            keep = np.ones(attrs["out"], dtype=bool)
+            keep[removed.get(node.id, [])] = False
+            if not keep.any():
+                raise RewriteRefusal(f"removal set empties layer {node.id!r}")
+            attrs["in"], attrs["out"] = int(ins[0].sum()), int(keep.sum())
+        elif k == "Flatten":
+            keep = np.repeat(ins[0], shapes[node.id][0] // len(ins[0]))
+        elif k == "Concat":
+            keep = np.concatenate(ins)
+        else:  # Add and the pass-through kinds
+            if any(not np.array_equal(m, ins[0]) for m in ins[1:]):
+                raise GraphError(
+                    f"{node.id}: removal set is not closed under the Add "
+                    "channel grouping")
+            keep = ins[0]
+            if k == "BatchNorm":
+                attrs["channels"] = int(keep.sum())
+        masks[node.id] = keep
+        # tensors run over the node's output channels; a weight's second
+        # axis runs over its input's
+        params = {name: t[np.ix_(keep, ins[0])] if name == "w" else t[keep]
+                  for name, t in node.params.items()}
+        out.nodes[node.id] = LayerNode(node.id, k, attrs, params,
+                                       list(node.inputs))
     out.output_id = g.output_id
-    infer_shapes(out)  # re-validate
     return out

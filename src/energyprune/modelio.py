@@ -13,12 +13,13 @@ import io
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .criteria import ScoreTable
-from .graph import LayerNode, ModelGraph
+from .graph import LayerNode, ModelGraph, infer_shapes
 
 
 class DataFormatError(ValueError):
@@ -46,7 +47,7 @@ def write_blob(fh, a: np.ndarray) -> None:
 def read_blob(fh) -> np.ndarray:
     """The next tensor of fh; a blob cut short is a data error."""
     def take(size: int) -> bytes:
-        raw = fh.read(size)
+        raw = fh.read(min(size, sys.maxsize))  # a corrupt header may ask more
         if len(raw) != size:
             raise DataFormatError(
                 f"tensor blob truncated: needed {size} bytes, found {len(raw)}")
@@ -83,6 +84,43 @@ def save_model(g: ModelGraph, path) -> None:
     _blob_path(path).write_bytes(buf.getvalue())
 
 
+# attrs the engine reads, with their least valid value: an int bound
+# asks for an integer, a float bound for any finite number
+_ATTRS = {
+    "Dense": {"in": 1, "out": 1},
+    "Conv2D": {"in": 1, "out": 1, "k": 1, "stride": 1, "pad": 0},
+    "BatchNorm": {"channels": 1, "eps": 0.0},
+    "MaxPool": {"k": 1, "stride": 1, "pad": 0},
+    "AvgPool": {"k": 1, "stride": 1, "pad": 0},
+    "Dropout": {"p": 0.0},
+}
+
+
+def _check_node(node: LayerNode) -> None:
+    """The attrs the engine reads are in range (a padding at most half
+    the window), and the node holds exactly the tensors they imply (a
+    Conv2D bias is optional)."""
+    a = {"pad": 0, **node.attrs} if node.kind in ("MaxPool", "AvgPool") \
+        else node.attrs
+    for name, least in _ATTRS.get(node.kind, {}).items():
+        if type(a[name]) not in (type(least), int) \
+                or not least <= a[name] < math.inf:
+            raise DataFormatError(f"{node.id}: attr {name!r} is {a[name]!r}, "
+                                  f"not a number >= {least}")
+    if node.kind in ("Conv2D", "MaxPool", "AvgPool") and a["pad"] > a["k"] // 2:
+        raise DataFormatError(f"{node.id}: attr 'pad' exceeds k // 2")
+    o, i, k, c = (a.get(name) for name in ("out", "in", "k", "channels"))
+    want = {"Dense": {"w": (o, i), "b": (o,)},
+            "Conv2D": {"w": (o, i, k, k), "b": (o,)},
+            "BatchNorm": dict.fromkeys(("gamma", "beta", "mean", "var"), (c,)),
+            }.get(node.kind, {})
+    have = {name: t.shape for name, t in node.params.items()}
+    if set(want) - set(have) - ({"b"} if node.kind == "Conv2D" else set()) \
+            or any(want.get(name) != shape for name, shape in have.items()):
+        raise DataFormatError(f"{node.id}: tensors {have} do not match the "
+                              f"{node.kind} attrs, which imply {want}")
+
+
 def load_model(path) -> ModelGraph:
     path = Path(path)
     text = _read_text(path, "model manifest")
@@ -95,6 +133,8 @@ def load_model(path) -> ModelGraph:
         raise DataFormatError(f"{path}: not an energyprune model manifest")
     fh = io.BytesIO(_blob_path(path).read_bytes())
     try:
+        if not all(type(d) is int and d >= 1 for d in manifest["input_shape"]):
+            raise DataFormatError("input shape is not positive integers")
         g = ModelGraph(manifest["input_shape"])
         for spec in manifest["nodes"]:
             g.add(LayerNode(spec["id"], spec["kind"], dict(spec["attrs"]),
@@ -103,10 +143,13 @@ def load_model(path) -> ModelGraph:
         for entry in manifest["tensors"]:
             fh.seek(entry["offset"])
             g.nodes[entry["node"]].params[entry["name"]] = read_blob(fh)
-    except (KeyError, TypeError) as exc:
+        for node in g.nodes.values():
+            _check_node(node)
+        infer_shapes(g)
+    except (LookupError, TypeError, ValueError) as exc:
+        # GraphError and DataFormatError are ValueErrors
         raise DataFormatError(
-            f"{path}: malformed model manifest ({type(exc).__name__}: {exc})"
-        ) from exc
+            f"{path}: malformed model ({type(exc).__name__}: {exc})") from exc
     return g
 
 

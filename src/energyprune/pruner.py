@@ -181,11 +181,9 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
                 f"cannot reach threshold {spec.threshold}: only {removed} of "
                 f"{target} channels removable")
 
-    slots = set()
-    for grp, _ in selected:
-        slots.update(grp.slots)
     try:
-        scratch = rewrite_remove_channels(g, slots) if slots else g.copy()
+        scratch = rewrite_remove_channels(
+            g, (s for grp, _ in selected for s in grp.slots))
     except RewriteRefusal as exc:
         raise PlanError(f"spec would empty a layer: {exc}") from exc
     base = count_complexity(g)
@@ -200,8 +198,7 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
 def execute(g: ModelGraph, pruning_plan: PruningPlan) -> ModelGraph:
     """Apply the plan and verify shapes and complexity against its
     predictions."""
-    slots = pruning_plan.removed_slots
-    pruned = rewrite_remove_channels(g, slots) if slots else g.copy()
+    pruned = rewrite_remove_channels(g, pruning_plan.removed_slots)
     shapes = infer_shapes(pruned)
     if shapes != pruning_plan.predicted_shapes:
         raise ConsistencyError("post-prune shapes disagree with plan")

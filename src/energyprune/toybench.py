@@ -3,8 +3,8 @@
 Includes the 4-class blob dataset and 3x1000 MLP used for the criterion
 comparison, a zoo of miniature CNNs covering every structural pattern
 (plain chain, residual add, inception concat, dense concat), and
-shape-only builders for the five full-size reference architectures used
-to calibrate the FLOPs/params counter.
+zero-weight builders for the five full-size reference architectures
+used to calibrate the FLOPs/params counter.
 """
 
 from __future__ import annotations
@@ -386,7 +386,8 @@ REFERENCE_BUILDERS = {
 
 
 def build_reference_arch(name: str) -> ModelGraph:
-    """Full-size architecture for complexity counting only."""
+    """Full-size architecture with all-zero weights, enough for
+    complexity counting; ``init_params`` makes it trainable."""
     try:
         return REFERENCE_BUILDERS[name]()
     except KeyError:

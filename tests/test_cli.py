@@ -1,12 +1,17 @@
 """Command-line interface: pipeline wiring and exit codes."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from energyprune.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from energyprune.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
+                             _build_arch, main)
 from energyprune.modelio import (SCORE_HEADER, load_dataset, load_model,
                                  read_tsv, save_dataset, save_model)
-from energyprune.toybench import build_toy_cnn_plain, build_toy_mlp
+from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
+                                  build_toy_cnn_residual, build_toy_mlp)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,26 @@ def test_count_by_arch(capsys):
     assert main(["count", "--arch", "resnet56"]) == 0
     out = capsys.readouterr().out
     assert "total:" in out and "FLOPs" in out
+
+
+def test_reference_arch_weights_are_seeded():
+    a, b = _build_arch("resnet56", 3), _build_arch("resnet56", 3)
+    c = _build_arch("resnet56", 4)
+    for node in a.nodes.values():
+        if node.kind in ("Conv2D", "Dense"):
+            assert np.any(node.params["w"] != 0), node.id
+            assert np.array_equal(node.params["w"], b.nodes[node.id].params["w"])
+            assert not np.array_equal(node.params["w"],
+                                      c.nodes[node.id].params["w"])
+
+
+def test_count_by_arch_matches_the_zero_weight_model(tmp_path, capsys):
+    model = tmp_path / "resnet56.json"
+    save_model(build_reference_arch("resnet56"), model)  # all-zero weights
+    assert main(["count", "--model", str(model)]) == 0
+    by_model = capsys.readouterr().out
+    assert main(["count", "--arch", "resnet56"]) == 0
+    assert capsys.readouterr().out == by_model
 
 
 def test_report_renders_tsv(workdir, capsys):
@@ -180,6 +205,35 @@ class TestExitCodes:
         assert main(["eval", "--model", str(model),
                      "--data", str(workdir / "data")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("fault", [
+        "duplicate-id", "unknown-input", "unknown-kind", "mistyped-width",
+        "tensor-attr-mismatch"])
+    def test_broken_graph_manifest_is_data_error(self, tmp_path, fault):
+        model = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), model)
+        manifest = json.loads(model.read_text())
+        nodes = {n["id"]: n for n in manifest["nodes"]}
+        if fault == "duplicate-id":
+            manifest["nodes"].insert(1, dict(nodes["fc1"]))
+        elif fault == "unknown-input":
+            nodes["fc2"]["inputs"] = ["nope"]
+        elif fault == "unknown-kind":
+            nodes["relu1"]["kind"] = "Conv3D"
+        elif fault == "mistyped-width":
+            nodes["out"]["attrs"]["out"] = "abc"
+        else:
+            nodes["fc1"]["attrs"]["out"] = nodes["fc2"]["attrs"]["in"] = 5
+        model.write_text(json.dumps(manifest))
+        assert main(["count", "--model", str(model)]) == EXIT_DATA
+
+    def test_unreadable_model_blob_is_data_error(self, tmp_path):
+        model = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), model)
+        blob = tmp_path / "m.json.bin"
+        blob.unlink()
+        blob.mkdir()
+        assert main(["count", "--model", str(model)]) == EXIT_DATA
+
     def test_stability_data_without_model_is_config_error(self, tmp_path,
                                                           capsys):
         assert main(["stability", "--data", str(tmp_path / "nope"),
@@ -190,3 +244,68 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# --- corrupted model files --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory):
+    """A saved toy MLP and residual CNN, each with a dataset to evaluate."""
+    root = tmp_path_factory.mktemp("corrupt")
+    cases = {}
+    for name, g, kind in (("mlp", build_toy_mlp(hidden=8, seed=0), "blobs"),
+                          ("cnn", build_toy_cnn_residual(seed=0), "images")):
+        data = root / f"{name}-data"
+        assert main(["gen-data", "--kind", kind, "--samples-per-class", "4",
+                     "--out", str(data)]) == 0
+        model = root / f"{name}.json"
+        save_model(g, model)
+        cases[name] = (json.loads(model.read_text()),
+                       (root / f"{name}.json.bin").read_bytes(), data)
+    return root, cases
+
+
+def _key_paths(obj, prefix=()):
+    """The path of every dict key and list index below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _key_paths(val, prefix + (key,))
+
+
+ODD_VALUES = [None, "abc", 1.5, -1, 0, 10**9, [], {}, True, float("inf")]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrupted_model_never_raises(corruptible, data):
+    root, cases = corruptible
+    name = data.draw(st.sampled_from(sorted(cases)))
+    manifest, blob, dataset = cases[name]
+    manifest = json.loads(json.dumps(manifest))
+    how = data.draw(st.sampled_from(["drop", "retype", "truncate", "flip"]))
+    if how in ("drop", "retype"):
+        path = data.draw(st.sampled_from(sorted(_key_paths(manifest), key=str)))
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.one_of(
+                st.sampled_from(ODD_VALUES), st.integers(-2, 40)))
+    elif how == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1))
+        flip = data.draw(st.integers(1, 255))
+        blob = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+    model = root / "corrupted.json"
+    model.write_text(json.dumps(manifest))
+    (root / "corrupted.json.bin").write_bytes(blob)
+    with np.errstate(all="ignore"):
+        for argv in (["count", "--model", str(model)],
+                     ["eval", "--model", str(model), "--data", str(dataset)]):
+            assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)

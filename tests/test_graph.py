@@ -7,7 +7,9 @@ from energyprune.graph import (GraphError, INPUT, LayerNode, ModelGraph,
                                RewriteRefusal, build_channel_groups,
                                channel_provenance, infer_shapes,
                                rewrite_remove_channels)
-from energyprune.toybench import (build_toy_cnn_inception,
+from energyprune.engine import init_params
+from energyprune.toybench import (ZOO_BUILDERS, build_reference_arch,
+                                  build_toy_cnn_inception,
                                   build_toy_cnn_plain,
                                   build_toy_cnn_residual,
                                   build_toy_densenet_cell, build_toy_mlp)
@@ -25,6 +27,11 @@ class TestWiring:
         _dense(g, "a", INPUT, 3, 2)
         with pytest.raises(GraphError):
             _dense(g, "a", INPUT, 3, 2)
+
+    def test_input_id_is_reserved(self):
+        g = ModelGraph((3,))
+        with pytest.raises(GraphError):
+            _dense(g, INPUT, INPUT, 3, 2)
 
     def test_unknown_input_rejected(self):
         g = ModelGraph((3,))
@@ -143,7 +150,54 @@ class TestChannelGroups:
         assert prov["out"] == [("out", i) for i in range(4)]
 
 
+def _rewrite_models():
+    for name, fn in ZOO_BUILDERS.items():
+        yield pytest.param(lambda fn=fn: fn(4, 0), id=name)
+    yield pytest.param(
+        lambda: init_params(build_reference_arch("densenet40"), 0),
+        id="densenet40")
+
+
 class TestRewrite:
+    @pytest.mark.parametrize("build", _rewrite_models())
+    def test_empty_removal_set_is_an_exact_copy(self, build):
+        g = build()
+        out, ref = rewrite_remove_channels(g, []), g.copy()
+        assert (out.input_shape, out.output_id) == \
+            (ref.input_shape, ref.output_id)
+        assert list(out.nodes) == list(ref.nodes)
+        for nid, node in ref.nodes.items():
+            new = out.nodes[nid]
+            assert (new.kind, new.attrs, new.inputs) == \
+                (node.kind, node.attrs, node.inputs)
+            assert list(new.params) == list(node.params)
+            for name, t in node.params.items():
+                assert new.params[name].dtype == t.dtype
+                assert new.params[name].shape == t.shape
+                assert new.params[name].tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("build", _rewrite_models())
+    def test_output_shares_no_memory_with_input(self, build):
+        g = build()
+        group = next(grp for grp in build_channel_groups(g) if grp.prunable)
+        for removals in ([], group.slots):
+            out = rewrite_remove_channels(g, removals)
+            for (_, _, a), (_, _, b) in zip(out.parameters(), g.parameters()):
+                assert not np.shares_memory(a, b)
+
+    def test_concat_offsets_follow_the_removed_channel(self):
+        g = build_toy_densenet_cell(seed=0)
+        out = rewrite_remove_channels(g, [("d1.conv", 2)])
+        # d1 is the second piece of cat1 and cat2, after c0's 8 channels
+        for nid in ("d2.conv", "trans.conv"):
+            assert np.array_equal(out.nodes[nid].params["w"],
+                                  np.delete(g.nodes[nid].params["w"], 10,
+                                            axis=1))
+        assert np.array_equal(out.nodes["d1.conv"].params["w"],
+                              np.delete(g.nodes["d1.conv"].params["w"], 2,
+                                        axis=0))
+        assert out.nodes["d1.bn"].attrs["channels"] == 3
+
     def test_mlp_widths_shrink(self):
         g = build_toy_mlp(hidden=10, seed=0)
         out = rewrite_remove_channels(g, [("fc1", 0), ("fc2", 3), ("fc2", 7)])

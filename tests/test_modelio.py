@@ -1,6 +1,8 @@
 """File formats: model manifest + blob, datasets, configs, reports."""
 
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ import pytest
 from energyprune.criteria import ScoreTable
 from energyprune.modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                                  format_table, load_config, load_dataset,
-                                 load_model, plan_rows, read_tsv,
+                                 load_model, plan_rows, read_blob, read_tsv,
                                  save_dataset, save_model, score_table_rows,
                                  write_tsv)
 from energyprune.linalg import make_rng
-from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_residual,
-                                  build_toy_mlp, gen_blobs)
+from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_inception,
+                                  build_toy_cnn_residual, build_toy_mlp,
+                                  gen_blobs)
 
 
 @pytest.mark.parametrize("reader", [load_model, load_dataset, load_config,
@@ -75,6 +78,11 @@ class TestModelRoundtrip:
             with pytest.raises(DataFormatError, match="truncated"):
                 load_model(path)
 
+    def test_blob_header_larger_than_any_read(self):
+        header = struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(DataFormatError, match="truncated"):
+            read_blob(io.BytesIO(header))
+
     @pytest.mark.parametrize("key", ["input_shape", "nodes", "output",
                                      "tensors"])
     def test_manifest_missing_key(self, tmp_path, key):
@@ -84,6 +92,41 @@ class TestModelRoundtrip:
         del manifest[key]
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError, match=key):
+            load_model(path)
+
+
+    @pytest.mark.parametrize("node,attr,value", [
+        ("stem.conv", "stride", 0),
+        ("stem.conv", "pad", 2),
+        ("pool", "k", 2.0),
+        ("drop", "p", "0.5"),
+        ("stem.bn", "eps", -1),
+        ("stem.bn", "channels", True),
+    ])
+    def test_bad_attr(self, tmp_path, node, attr, value):
+        path = tmp_path / "m.json"
+        save_model(build_toy_cnn_inception(seed=0), path)
+        manifest = json.loads(path.read_text())
+        spec = next(n for n in manifest["nodes"] if n["id"] == node)
+        spec["attrs"][attr] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=attr):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "misplaced"])
+    def test_tensor_index_must_match_the_nodes(self, tmp_path, change):
+        path = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), path)
+        manifest = json.loads(path.read_text())
+        fc1_w = manifest["tensors"][0]
+        if change == "missing":
+            manifest["tensors"].remove(fc1_w)
+        elif change == "extra":
+            manifest["tensors"].append(dict(fc1_w, node="relu1"))
+        else:
+            fc1_w["node"] = "fc2"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match="tensor"):
             load_model(path)
 
 
