@@ -86,14 +86,15 @@ def _windows(x, k, stride, pad, fill=0.0):
 
 
 def _scatter_windows(gwin, x_shape, stride, pad):
-    """Adjoint of ``_windows``: sums (N, C, Ho, Wo, k, k) window
-    gradients back onto the (N, C, H, W) input."""
+    """Adjoint of ``_windows``: sums (N, C, k, k, Ho, Wo) window
+    gradients back onto the (N, C, H, W) input. Window offsets lead, so
+    each of the k*k adds reads whole (Ho, Wo) maps."""
     n, c, h, w = x_shape
-    _, _, ho, wo, k, _ = gwin.shape
+    _, _, k, _, ho, wo = gwin.shape
     gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     for i in range(k):
         for j in range(k):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[..., i, j]
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[:, :, i, j]
     if pad:
         gx = gx[:, :, pad:-pad, pad:-pad]
     return gx
@@ -109,14 +110,14 @@ def _forward_node(node, xs, mode, rng, cache):
         (x,) = xs
         win = _windows(x, node.attrs["k"], node.attrs["stride"], node.attrs["pad"])
         n, c, ho, wo, kk, _ = win.shape
-        cols = np.ascontiguousarray(
-            win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kk * kk))
+        # channel-first im2col: one contiguous (N, C*k*k, Ho*Wo) copy
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kk * kk, ho * wo)
         cache["cols"], cache["x_shape"] = cols, x.shape
         w = node.params["w"]
-        out = cols @ w.reshape(w.shape[0], -1).T  # (N, Ho*Wo, Cout)
+        out = cols.transpose(0, 2, 1) @ w.reshape(w.shape[0], -1).T  # (N, Ho*Wo, Cout)
         if "b" in node.params:
-            out = out + node.params["b"]
-        return out.transpose(0, 2, 1).reshape(x.shape[0], w.shape[0], ho, wo)
+            out += node.params["b"]
+        return out.transpose(0, 2, 1).reshape(n, w.shape[0], ho, wo)
     if k == "BatchNorm":
         (x,) = xs
         eps = node.attrs.get("eps", 1e-5)
@@ -196,17 +197,15 @@ def _backward_node(node, grad, cache, param_grads):
         param_grads[(node.id, "b")] = grad.sum(axis=0)
         return [grad @ node.params["w"]]
     if k == "Conv2D":
-        cols = cache["cols"]
+        cols = cache["cols"]  # (N, C*k*k, Ho*Wo)
         n, cout, ho, wo = grad.shape
         w = node.params["w"]
-        g = grad.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N,HW,Cout)
-        gw = np.einsum("npc,npk->ck", g, cols).reshape(w.shape)
-        param_grads[(node.id, "w")] = gw
+        g = grad.reshape(n, cout, ho * wo)
+        gw = g @ cols.transpose(0, 2, 1)  # (N, Cout, C*k*k)
+        param_grads[(node.id, "w")] = gw.sum(axis=0).reshape(w.shape)
         if "b" in node.params:
-            param_grads[(node.id, "b")] = g.sum(axis=(0, 1))
-        grad_cols = g @ w.reshape(cout, -1)  # (N, HW, Cin*k*k)
-        c, kk = w.shape[1], w.shape[2]
-        gwin = grad_cols.reshape(n, ho, wo, c, kk, kk).transpose(0, 3, 1, 2, 4, 5)
+            param_grads[(node.id, "b")] = g.sum(axis=(0, 2))
+        gwin = (w.reshape(cout, -1).T @ g).reshape((n,) + w.shape[1:] + (ho, wo))
         return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
                                  node.attrs["pad"])]
     if k == "BatchNorm":
@@ -225,12 +224,13 @@ def _backward_node(node, grad, cache, param_grads):
         return [np.where(cache["mask"], grad, 0.0)]
     if k in ("MaxPool", "AvgPool"):
         kk = node.attrs["k"]
+        n, c, ho, wo = grad.shape
         if k == "MaxPool":
-            gwin = np.zeros(grad.shape + (kk * kk,))
-            np.put_along_axis(gwin, cache["idx"][..., None], grad[..., None], axis=-1)
-            gwin = gwin.reshape(grad.shape + (kk, kk))
+            gwin = np.zeros((n, c, kk * kk, ho, wo))
+            np.put_along_axis(gwin, cache["idx"][:, :, None], grad[:, :, None], axis=2)
+            gwin = gwin.reshape(n, c, kk, kk, ho, wo)
         else:
-            gwin = np.broadcast_to(grad[..., None, None] / (kk * kk), grad.shape + (kk, kk))
+            gwin = np.broadcast_to(grad[:, :, None, None] / (kk * kk), (n, c, kk, kk, ho, wo))
         return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
                                  node.attrs.get("pad", 0))]
     if k == "GlobalAvgPool":

@@ -96,11 +96,17 @@ class ModelGraph:
 # --- shape inference ----------------------------------------------------
 # Shapes exclude the batch axis: (C, H, W) for images, (F,) for vectors.
 
-def _pool_out(size, k, stride, pad=0):
-    size = size + 2 * pad
-    if size < k:
-        raise GraphError(f"pool window {k} larger than input {size}")
-    return (size - k) // stride + 1
+def _window_out(node, size):
+    """Output extent of a Conv2D or pooling window along an input axis of
+    ``size``. The window may be wider than the input by at most one
+    side's padding (k <= size + pad), so the first window's last tap
+    still reads the input. A 3x3, pad-1 conv on a 2x2 map (VGG's last
+    block) passes; a window that dwarfs its input, whose im2col buffer
+    would grow with k**2, does not."""
+    kk, pad = node.attrs["k"], node.attrs.get("pad", 0)
+    if kk > size + pad:
+        raise GraphError(f"{node.id}: window {kk} wider than input extent {size} plus pad {pad}")
+    return (size + 2 * pad - kk) // node.attrs["stride"] + 1
 
 
 def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
@@ -117,13 +123,7 @@ def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
             (s,) = ins
             if len(s) != 3 or s[0] != node.attrs["in"]:
                 raise GraphError(f"{node.id}: Conv2D expects {node.attrs['in']} channels, got {s}")
-            c, h, w = s
-            kk, st, pad = node.attrs["k"], node.attrs["stride"], node.attrs["pad"]
-            ho = (h + 2 * pad - kk) // st + 1
-            wo = (w + 2 * pad - kk) // st + 1
-            if ho < 1 or wo < 1:
-                raise GraphError(f"{node.id}: kernel does not fit input {s}")
-            shapes[node.id] = (node.attrs["out"], ho, wo)
+            shapes[node.id] = (node.attrs["out"], _window_out(node, s[1]), _window_out(node, s[2]))
         elif k == "BatchNorm":
             (s,) = ins
             if s[0] != node.attrs["channels"]:
@@ -136,9 +136,7 @@ def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
             (s,) = ins
             if len(s) != 3:
                 raise GraphError(f"{node.id}: pooling needs (C,H,W), got {s}")
-            kk, st = node.attrs["k"], node.attrs["stride"]
-            pp = node.attrs.get("pad", 0)
-            shapes[node.id] = (s[0], _pool_out(s[1], kk, st, pp), _pool_out(s[2], kk, st, pp))
+            shapes[node.id] = (s[0], _window_out(node, s[1]), _window_out(node, s[2]))
         elif k == "GlobalAvgPool":
             (s,) = ins
             if len(s) != 3:

@@ -173,7 +173,10 @@ def load_dataset(path):
     for line in lines:
         if line.startswith("#"):
             if "shape=" in line:
-                shape = tuple(int(d) for d in line.split("shape=")[1].split(","))
+                try:
+                    shape = tuple(int(d) for d in line.split("shape=")[1].split(","))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: bad header {line[:60]!r}") from exc
             continue
         if not line.strip():
             continue
@@ -185,9 +188,14 @@ def load_dataset(path):
             raise DataFormatError(f"{path}: bad row {line[:60]!r}") from exc
     if not xs:
         raise DataFormatError(f"{path}: empty dataset")
+    if any(len(row) != len(xs[0]) for row in xs):
+        raise DataFormatError(f"{path}: rows differ in length")
     x = np.array(xs)
     y = np.array(ys, dtype=np.intp)
     if shape is not None:
+        if min(shape) < 1 or int(np.prod(shape)) != x.shape[1]:
+            raise DataFormatError(
+                f"{path}: header shape {shape} does not hold {x.shape[1]} features per row")
         x = x.reshape((len(x),) + shape)
     return x, y
 

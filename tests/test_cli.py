@@ -226,6 +226,34 @@ class TestExitCodes:
         model.write_text(json.dumps(manifest))
         assert main(["count", "--model", str(model)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("header", ["# shape=abc", "# shape=3"])
+    def test_bad_dataset_header_is_data_error(self, workdir, tmp_path,
+                                              header):
+        # the blobs rows hold 2 features: 3 neither parses nor divides them
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "test"):
+            lines = (workdir / "data" / f"{split}.csv").read_text().splitlines()
+            assert lines[0] == "# shape=2"
+            (data / f"{split}.csv").write_text("\n".join([header] + lines[1:]) + "\n")
+        assert main(["eval", "--model", str(workdir / "model.json"),
+                     "--data", str(data)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("node,k,pad", [("pool1", 10**6, 5 * 10**5),
+                                            ("c4.conv", 7, 3)])
+    def test_window_wider_than_its_input_is_data_error(self, tmp_path, node,
+                                                       k, pad):
+        # pool1 reads an 8x8 map and c4.conv a 2x2 one; pad <= k // 2
+        # holds in both, and at k = 10**6 eval would pad to (10**6 + 8)**2
+        g = build_toy_cnn_plain(seed=0)
+        layer = g.nodes[node]
+        layer.attrs.update(k=k, pad=pad)
+        if "w" in layer.params:
+            layer.params["w"] = np.zeros(layer.params["w"].shape[:2] + (k, k))
+        model = tmp_path / "m.json"
+        save_model(g, model)
+        assert main(["count", "--model", str(model)]) == EXIT_DATA
+
     def test_unreadable_model_blob_is_data_error(self, tmp_path):
         model = tmp_path / "m.json"
         save_model(build_toy_mlp(hidden=4, seed=0), model)

@@ -3,23 +3,88 @@
 import numpy as np
 import pytest
 
-from energyprune.engine import (DivergenceError, TrainConfig, backward,
-                                capture_activations, capture_points,
-                                cross_entropy, forward, init_params,
-                                logits_node, train)
-from energyprune.graph import INPUT, ModelGraph
+from energyprune.engine import (DivergenceError, TrainConfig, _backward_node,
+                                _forward_node, backward, capture_activations,
+                                capture_points, cross_entropy, forward,
+                                init_params, logits_node, train)
+from energyprune.graph import INPUT, LayerNode, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import evaluate
 from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
                                   gen_blobs)
-from helpers import KIND_CONFIGS, _bn, _conv, _dense, _op, fd_max_rel_err
+from helpers import (KIND_CONFIGS, _bn, _conv, _dense, _finish, _op,
+                     fd_max_rel_err)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
 def test_gradients_match_finite_differences(kind):
     g, x, y = KIND_CONFIGS[kind][0]()
     assert fd_max_rel_err(g, x, y, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0)],
+                         ids=["k3s1p1", "k3s2p1", "k1s2p0"])
+def test_conv_input_gradient_matches_finite_differences(k, stride, pad, bias):
+    # the first conv's weights see the loss only through the second
+    # conv's input gradient, which the single-conv fixtures never reach
+    # (backward drops the gradient of the graph input)
+    g = ModelGraph((2, 6, 5))
+    _conv(g, "c1", INPUT, 2, 3)
+    _conv(g, "c2", "c1", 3, 4, k=k, stride=stride, pad=pad, bias=bias)
+    _op(g, "gap", "GlobalAvgPool", "c2")
+    _dense(g, "out", "gap", 4, 3)
+    g, x, y = _finish(g, 40 + 2 * k + stride + pad)
+    assert fd_max_rel_err(g, x, y, h=1e-5) < 1e-4
+
+
+# a max-pool window of only padding (pad > k // 2) has no input to pick
+@pytest.mark.parametrize("k,stride,pad,kind", [
+    (k, stride, pad, kind) for k in (1, 2, 3) for stride in (1, 2)
+    for pad in (0, 1) for kind in ("Conv2D", "AvgPool", "MaxPool")
+    if kind != "MaxPool" or pad <= k // 2])
+def test_window_backward_is_the_adjoint_of_forward(k, stride, pad, kind):
+    # <f(x), g> = <x, f^T(g)> for the linear conv and average pool; max
+    # pooling is linear too once its argmax is fixed
+    rng = make_rng(100 * k + 10 * stride + pad)
+    attrs = {"k": k, "stride": stride, "pad": pad}
+    params = {}
+    if kind == "Conv2D":
+        attrs.update({"in": 3, "out": 4})
+        params["w"] = rng.normal(size=(4, 3, k, k))
+    node = LayerNode("n", kind, attrs, params, [INPUT])
+    x = rng.normal(size=(2, 3, 7, 5))
+    cache: dict = {}
+    out = _forward_node(node, [x], "eval", None, cache)
+    g = rng.normal(size=out.shape)
+    (gx,) = _backward_node(node, g, cache, {})
+    assert gx.shape == x.shape
+    lhs, rhs = np.vdot(out, g), np.vdot(x, gx)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(out) * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (2, 2, 1), (3, 1, 1),
+                                          (3, 2, 0)])
+def test_conv_forward_is_the_direct_sum(k, stride, pad):
+    # out[n, o, a, b] = b[o] + sum over c, i, j of
+    #                   w[o, c, i, j] * x_padded[n, c, stride*a + i, stride*b + j]
+    rng = make_rng(7 * k + stride + pad)
+    w = rng.normal(size=(4, 3, k, k))
+    bias = rng.normal(size=4)
+    node = LayerNode("n", "Conv2D", {"in": 3, "out": 4, "k": k,
+                                     "stride": stride, "pad": pad},
+                     {"w": w, "b": bias}, [INPUT])
+    x = rng.normal(size=(2, 3, 7, 5))
+    out = _forward_node(node, [x], "eval", None, {})
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = out.shape[2:]
+    ref = np.broadcast_to(bias[:, None, None], out.shape).copy()
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            ref += np.einsum("oc,ncab->noab", w[:, :, i, j], patch)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_single_dense_gradient_closed_form():

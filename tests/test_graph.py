@@ -87,6 +87,30 @@ class TestShapeInference:
         with pytest.raises(GraphError):
             infer_shapes(g)
 
+    @pytest.mark.parametrize("kind", ["Conv2D", "MaxPool", "AvgPool"])
+    def test_window_may_not_dwarf_the_input(self, kind):
+        # k = 10**6 with pad = k // 2 gives a 9x9 output on an 8x8 map,
+        # but every window would be almost all padding
+        g = ModelGraph((2, 8, 8))
+        attrs = {"k": 10**6, "stride": 1, "pad": 5 * 10**5}
+        if kind == "Conv2D":
+            attrs.update({"in": 2, "out": 3})
+        g.add(LayerNode("w", kind, attrs, {}, [INPUT]))
+        with pytest.raises(GraphError, match="wider than input extent 8"):
+            infer_shapes(g)
+
+    @pytest.mark.parametrize("k,pad,ok", [(3, 1, True), (2, 0, True),
+                                          (3, 0, False), (5, 2, False)])
+    def test_window_overhangs_by_one_pad_at_most(self, k, pad, ok):
+        # two rows: a 3x3, pad-1 conv on them is VGG's last block
+        g = ModelGraph((2, 2, 3))
+        _conv(g, "c", INPUT, 2, 2, k=k, pad=pad)
+        if ok:
+            assert infer_shapes(g)["c"][1] == 2 + 2 * pad - k + 1
+        else:
+            with pytest.raises(GraphError):
+                infer_shapes(g)
+
     def test_add_shape_mismatch(self):
         g = ModelGraph((2, 4, 4))
         _conv(g, "a", INPUT, 2, 3)

@@ -160,6 +160,18 @@ class TestDatasetRoundtrip:
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize("text", [
+        "# shape=abc\n1.0,2.0,0\n", "# shape=\n1.0,2.0,0\n",
+        "# shape=3\n1.0,2.0,0\n3.0,4.0,1\n", "# shape=-1\n1.0,2.0,0\n",
+        "# shape=0,2\n1.0,2.0,0\n", "# shape=2\n1.0,2.0,0\n1.0,1\n"],
+        ids=["non-integer", "empty", "not-dividing", "negative", "zero",
+             "ragged-rows"])
+    def test_header_must_match_the_rows(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError):
+            load_dataset(path)
+
 
 class TestConfig:
     def test_parse(self, tmp_path):
