@@ -263,20 +263,23 @@ class ForwardPass:
 def _mask_vectors(g: ModelGraph, masks: dict) -> dict:
     """Per maskable node (Conv2D/Dense/BatchNorm), a channel multiplier
     built from per-producer masks via channel provenance."""
-    prov, _, _ = channel_provenance(g)
+    t = channel_provenance(g)
+    mult = np.ones(len(t.gid))  # per slot
+    masked = np.zeros(len(t.gid), dtype=bool)
+    for i, lid in enumerate(t.layers):
+        if lid in masks:
+            mult[t.start[i]:t.start[i + 1]] = masks[lid]
+            masked[t.start[i]:t.start[i + 1]] = True
     vectors = {}
     for node in g.nodes.values():
         if node.kind in ("Dense", "Conv2D"):
             if node.id in masks:
                 vectors[node.id] = np.asarray(masks[node.id], dtype=float)
         elif node.kind == "BatchNorm":
-            slots = prov[node.id]
-            if any(s is not None and s[0] in masks for s in slots):
-                vec = np.ones(len(slots))
-                for i, s in enumerate(slots):
-                    if s is not None and s[0] in masks:
-                        vec[i] = float(np.asarray(masks[s[0]])[s[1]])
-                vectors[node.id] = vec
+            slots = t.prov[node.id]
+            real = slots >= 0
+            if masked[slots[real]].any():
+                vectors[node.id] = np.where(real, mult[slots], 1.0)
     return vectors
 
 

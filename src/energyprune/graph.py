@@ -3,17 +3,20 @@
 A ModelGraph is a DAG of LayerNodes wired producer -> consumer, with
 ``INPUT`` naming the graph input. Shape inference, channel provenance
 and the rewrite are each one walk in topological order over a table
-seeded with the graph input's entry. Channel dependency analysis finds
-which output channels must be removed together (residual adds tie
-channels positionally; concatenations only shift offsets), and
-``rewrite_remove_channels`` derives each node's keep mask from its own
-removals and its inputs' masks, slicing its tensors into a genuinely
-smaller graph whose forward pass matches the masked original.
+seeded with the graph input's entry. Channel dependency analysis
+numbers every Dense/Conv2D output channel once as a slot and finds
+which slots must be removed together: residual adds tie channels
+positionally, concatenations only shift offsets, and min-label
+propagation over the tied slot pairs gives each group its smallest slot
+as root. ``rewrite_remove_channels`` derives each node's keep mask from
+its own removals and its inputs' masks, slicing its tensors into a
+genuinely smaller graph whose forward pass matches the masked original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,70 +170,99 @@ def infer_shapes(g: ModelGraph) -> dict[str, tuple]:
 
 # --- channel dependency analysis ----------------------------------------
 
-@dataclass(frozen=True)
-class ChannelGroup:
+class ChannelGroup(NamedTuple):
     """Channels that must be pruned together. Slots are (layer_id, channel)."""
     gid: int
     slots: frozenset
     prunable: bool = True
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+class ChannelSlots(NamedTuple):
+    """Every Dense/Conv2D output channel numbered once as a slot, in node
+    order and then channel order, with the removal group of each slot.
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def channel_provenance(g: ModelGraph):
-    """Per node, a list over output channels of the slot that produced
-    each channel (after union-find closure over Adds), or None when the
-    channel originates at the graph input or crosses a Flatten.
-
-    Returns (provenance, union_find, frozen_slots) where frozen_slots are
-    slots tied positionally to un-prunable channels.
+    A group's root is its smallest slot, and group ids follow root order.
     """
+    layers: list  # Dense/Conv2D node ids, in node order
+    start: np.ndarray  # layers[i] owns slots start[i]:start[i + 1]
+    layer: np.ndarray  # slot -> index into layers
+    prov: dict  # node id -> slot of each output channel, -1 if none
+    gid: np.ndarray  # slot -> group id
+    prunable: np.ndarray  # group id -> not tied to graph-input channels
+
+    def groups(self, gids) -> list[ChannelGroup]:
+        """The ChannelGroup of each listed group id, in the listed order."""
+        order = np.argsort(self.gid, kind="stable")
+        owner = self.layer[order]
+        slots = list(zip([self.layers[i] for i in owner.tolist()],
+                         (order - self.start[owner]).tolist()))
+        ends = np.cumsum(np.bincount(self.gid, minlength=len(self.prunable)))
+        starts = ([0] + ends.tolist())[:-1]
+        ends, prunable = ends.tolist(), self.prunable.tolist()
+        return [ChannelGroup(gid, frozenset(slots[starts[gid]:ends[gid]]),
+                             prunable[gid])
+                for gid in np.asarray(gids, dtype=np.intp).tolist()]
+
+
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per slot, the smallest slot of its connected component under the
+    ties a[i] -- b[i]: min-label propagation with pointer jumping."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def channel_provenance(g: ModelGraph) -> ChannelSlots:
+    """The slot table of g. ``prov`` gives, per node, the slot that
+    produced each output channel: an Add passes on each position's first
+    slot and ties the positions' slots into one group, a Concat joins its
+    inputs' slots, and a channel from the graph input or past a Flatten
+    is -1. A group tied positionally to graph-input channels is not
+    prunable."""
     shapes = infer_shapes(g)  # validates wiring first
-    uf = _UnionFind()
-    frozen: set = set()
-    prov: dict[str, list] = {INPUT: [None] * g.input_shape[0]}
+    layers, widths, tie_a, tie_b, frozen = [], [], [], [], []
+    prov: dict = {INPUT: np.full(g.input_shape[0], -1)}
+    n = 0
     for node in g.nodes.values():
         k = node.kind
         if k in ("Dense", "Conv2D"):
-            slots = [(node.id, i) for i in range(node.attrs["out"])]
-            for s in slots:
-                uf.add(s)
-            prov[node.id] = slots
+            width = node.attrs["out"]
+            layers.append(node.id)
+            widths.append(width)
+            prov[node.id] = np.arange(n, n + width)
+            n += width
         elif k in PASSTHROUGH:
             prov[node.id] = prov[node.inputs[0]]
         elif k == "Flatten":
-            prov[node.id] = [None] * shapes[node.id][0]
+            prov[node.id] = np.full(shapes[node.id][0], -1)
         elif k == "Add":
-            merged = []
-            for members in zip(*(prov[s] for s in node.inputs)):
-                real = [m for m in members if m is not None]
-                for a, b in zip(real, real[1:]):
-                    uf.union(a, b)
-                if real and len(real) != len(members):
-                    frozen.update(real)  # tied to graph-input channels
-                merged.append(real[0] if real else None)
-            prov[node.id] = merged
+            members = np.stack([prov[s] for s in node.inputs])
+            real = members >= 0
+            first = members[real.argmax(axis=0), np.arange(members.shape[1])]
+            tie_a.append(members[real])
+            tie_b.append(np.broadcast_to(first, members.shape)[real])
+            frozen.append(members[real & ~real.all(axis=0)])
+            prov[node.id] = first
         else:  # Concat
-            prov[node.id] = [s for src in node.inputs for s in prov[src]]
+            prov[node.id] = np.concatenate([prov[s] for s in node.inputs])
     del prov[INPUT]
-    return prov, uf, frozen
+    label = _min_labels(n, np.concatenate(tie_a), np.concatenate(tie_b)) \
+        if tie_a else np.arange(n)
+    roots, gid = np.unique(label, return_inverse=True)
+    prunable = np.ones(len(roots), dtype=bool)
+    if frozen:
+        prunable[gid[np.concatenate(frozen)]] = False
+    return ChannelSlots(
+        layers=layers, start=np.concatenate(([0], np.cumsum(widths, dtype=int))),
+        layer=np.repeat(np.arange(len(layers)), widths), prov=prov,
+        gid=gid, prunable=prunable)
 
 
 def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
@@ -239,24 +271,8 @@ def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
     Channels merged positionally through an Add share a group; a group
     positionally tied to graph-input channels is marked un-prunable.
     """
-    _, uf, frozen = channel_provenance(g)
-    frozen_roots = {uf.find(s) for s in frozen}
-    buckets: dict = {}
-    for slot in uf.parent:
-        buckets.setdefault(uf.find(slot), []).append(slot)
-    order = {nid: i for i, nid in enumerate(g.nodes)}
-
-    def slot_key(slot):
-        return (order[slot[0]], slot[1])
-
-    groups = []
-    for gid, root in enumerate(sorted(buckets, key=slot_key)):
-        groups.append(ChannelGroup(
-            gid=gid,
-            slots=frozenset(buckets[root]),
-            prunable=root not in frozen_roots,
-        ))
-    return groups
+    slots = channel_provenance(g)
+    return slots.groups(np.arange(len(slots.prunable)))
 
 
 # --- structural rewrite -------------------------------------------------

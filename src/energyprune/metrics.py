@@ -16,6 +16,7 @@ import numpy as np
 from .graph import ModelGraph, infer_shapes
 
 FLOPS_CONVENTION = "1 MAC = 1 FLOP; conv+dense only"
+UNCOUNTED_PARAMS = ("mean", "var")  # BatchNorm running statistics
 
 
 @dataclass
@@ -33,9 +34,8 @@ class ComplexityReport:
 
 
 def _param_count(node) -> int:
-    skip = {"mean", "var"}
     return sum(int(arr.size) for name, arr in node.params.items()
-               if name not in skip)
+               if name not in UNCOUNTED_PARAMS)
 
 
 def count_complexity(g: ModelGraph) -> ComplexityReport:

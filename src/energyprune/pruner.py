@@ -1,22 +1,26 @@
 """Turning a ScoreTable into a PruningPlan, executing it, verifying it.
 
-Planning scores each removal group by its lowest member score, ranks
-groups, and removes the lowest until the per-layer ratio or global
-threshold is met. Execution delegates to the structural rewrite and
-cross-checks the plan's predicted shapes and parameter counts.
+Planning works on the graph's channel-slot arrays: it scores each
+removal group by its lowest member score, ranks groups, and removes the
+lowest until the per-layer ratio or global threshold is met. It predicts
+the pruned shapes, FLOPs and parameters from each layer's kept-channel
+count, copying no tensor. Execution is the one structural rewrite, and
+it cross-checks what it measures on the rewritten graph against those
+predictions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .criteria import ScoreTable, compute_scores, normalize_layer_l2
 from .engine import TrainConfig, logits_node, train
-from .graph import (ModelGraph, RewriteRefusal, build_channel_groups,
-                    infer_shapes, rewrite_remove_channels)
-from .metrics import count_complexity
+from .graph import (INPUT, ModelGraph, channel_provenance, infer_shapes,
+                    rewrite_remove_channels)
+from .metrics import UNCOUNTED_PARAMS, count_complexity
 
 
 class PlanError(ValueError):
@@ -87,11 +91,14 @@ def _layer_counts(slots) -> dict:
 
 
 def check_score_widths(g: ModelGraph, scores: ScoreTable) -> None:
-    """Every layer of g a score table names must be a Dense/Conv2D layer
+    """Every layer a score table names must be a Dense/Conv2D layer of g
     with one score per output channel."""
     for lid, vec in scores.scores.items():
         node = g.nodes.get(lid)
-        if node is not None and len(vec) != node.attrs.get("out"):
+        if node is None:
+            raise PlanError(f"score table names layer {lid!r}, which the "
+                            "graph does not have")
+        if len(vec) != node.attrs.get("out"):
             raise PlanError(
                 f"score table does not match graph layer widths: {len(vec)} "
                 f"scores for layer {lid!r}, which has "
@@ -111,88 +118,130 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
     """``plan`` for step k of an iterative run, ``frac`` = k/steps. The
     targets are ``frac`` of the spec's, taken on the widths before earlier
     steps removed ``done`` (layer_id -> count) channels, which count
-    toward them."""
-    groups = build_channel_groups(g)
+    toward them.
+
+    Works on the slot table: a group's score is the lowest score of its
+    slots, ties rank by group id (smallest slot first), and the
+    predictions come from each layer's kept-channel count."""
+    t = channel_provenance(g)
+    check_score_widths(g, scores)
+    for what, names in (("per-layer ratio", spec.per_layer_ratios),
+                        ("protected layer", spec.protected or ())):
+        for lid in names:
+            if lid not in g.nodes:
+                raise PlanError(f"{what} names layer {lid!r}, which the "
+                                "graph does not have")
     protected = set(spec.protected) if spec.protected is not None \
         else default_protected(g)
-    order = {nid: i for i, nid in enumerate(g.nodes)}
-
-    def sort_key(grp):
-        return min((order[lid], ch) for lid, ch in grp.slots)
-
-    candidates = []
-    for grp in sorted(groups, key=sort_key):
-        if not grp.prunable:
-            continue
-        if any(lid in protected for lid, _ in grp.slots):
-            continue
-        if any(lid not in scores.scores for lid, _ in grp.slots):
-            continue
-        candidates.append(grp)
-    check_score_widths(g, scores)
-
     table = scores if spec.mode == "per-layer" \
         or scores.normalization == "layer-l2" else normalize_layer_l2(scores)
 
-    def group_score(grp):
-        return min(table.get(lid, ch) for lid, ch in grp.slots)
+    index = {lid: i for i, lid in enumerate(t.layers)}
+    widths = np.diff(t.start)
+    score = np.zeros(len(t.gid))
+    excluded = np.ones(len(t.layers), dtype=bool)  # unscored or protected
+    for lid, vec in table.scores.items():
+        i = index[lid]
+        score[t.start[i]:t.start[i + 1]] = vec
+        excluded[i] = lid in protected
+    ok = t.prunable.copy()  # candidate groups
+    ok[t.gid[excluded[t.layer]]] = False
+    cand = ok[t.gid]  # candidate slots
+    gscore = np.full(len(ok), np.inf)
+    np.minimum.at(gscore, t.gid[cand], score[cand])
 
-    selected: list = []
     if spec.mode == "per-layer":
-        chosen_groups: dict = {}
-        by_layer: dict = {}
-        for grp in candidates:
-            for lid, ch in grp.slots:
-                by_layer.setdefault(lid, []).append((ch, grp))
-        for lid, entries in by_layer.items():
+        chosen = np.zeros(len(ok), dtype=bool)
+        for i in np.unique(t.layer[cand]).tolist():
+            lid = t.layers[i]
             r = spec.per_layer_ratios.get(lid, spec.ratio)
             c = g.nodes[lid].attrs["out"] + done.get(lid, 0)
             k = int(np.floor(r * c * frac)) - done.get(lid, 0)
             if k <= 0:
                 continue
-            entries = sorted(entries, key=lambda e: e[0])
-            ranked = sorted(entries, key=lambda e: table.get(lid, e[0]))
-            for ch, grp in ranked[:k]:
-                chosen_groups[grp.gid] = grp
-        selected = [(grp, group_score(grp))
-                    for grp in sorted(chosen_groups.values(), key=sort_key)]
-        selected.sort(key=lambda e: e[1])
+            slots = t.start[i] + np.flatnonzero(cand[t.start[i]:t.start[i + 1]])
+            ranked = slots[np.argsort(score[slots], kind="stable")]
+            chosen[t.gid[ranked[:k]]] = True
+        picked = np.flatnonzero(chosen)
+        picked = picked[np.argsort(gscore[picked], kind="stable")]
     else:
-        total = sum(len(grp.slots) for grp in candidates) + sum(done.values())
+        total = int(cand.sum()) + sum(done.values())
         target = int(round(spec.threshold * total * frac)) - sum(done.values())
-        ranked = sorted(
-            ((grp, group_score(grp)) for grp in candidates),
-            key=lambda e: (e[1], sort_key(e[0])))
-        remaining = {lid: g.nodes[lid].attrs["out"]
-                     for lid in {s[0] for grp in candidates for s in grp.slots}}
-        removed = 0
-        for grp, score in ranked:
+        gids = np.flatnonzero(ok)
+        ranked = gids[np.lexsort((gids, gscore[gids]))].tolist()
+        # each candidate group's (layer, slot count) pairs, by group id
+        n_layers = len(t.layers)
+        pairs, counts = np.unique(t.gid[cand] * n_layers + t.layer[cand],
+                                  return_counts=True)
+        bounds = np.searchsorted(pairs // n_layers,
+                                 np.arange(len(ok) + 1)).tolist()
+        pair_layer, counts = (pairs % n_layers).tolist(), counts.tolist()
+        size = np.bincount(t.gid[cand], minlength=len(ok)).tolist()
+        remaining = widths.tolist()
+        removed, walk = 0, []
+        for gid in ranked:
             if removed >= target:
                 break
-            counts = _layer_counts(grp.slots)
-            if any(remaining[lid] - n < 1 for lid, n in counts.items()):
+            span = range(bounds[gid], bounds[gid + 1])
+            if any(remaining[pair_layer[j]] - counts[j] < 1 for j in span):
                 continue  # never empty a layer
-            for lid, n in counts.items():
-                remaining[lid] -= n
-            selected.append((grp, score))
-            removed += len(grp.slots)
+            for j in span:
+                remaining[pair_layer[j]] -= counts[j]
+            walk.append(gid)
+            removed += size[gid]
         if removed < target:
             raise PlanError(
                 f"cannot reach threshold {spec.threshold}: only {removed} of "
                 f"{target} channels removable")
+        picked = np.array(walk, dtype=np.intp)
 
-    try:
-        scratch = rewrite_remove_channels(
-            g, (s for grp, _ in selected for s in grp.slots))
-    except RewriteRefusal as exc:
-        raise PlanError(f"spec would empty a layer: {exc}") from exc
+    gone = np.isin(t.gid, picked)  # removed slots
+    kept = widths - np.bincount(t.layer[gone], minlength=len(widths))
+    if not kept.all():
+        raise PlanError("spec would empty a layer: removal set empties layer "
+                        f"{t.layers[int(np.argmin(kept))]!r}")
+    shapes, flops, params = _predict(g, dict(zip(t.layers, kept.tolist())))
     base = count_complexity(g)
-    pred = count_complexity(scratch)
     return PruningPlan(
-        removals=selected,
-        predicted_shapes=infer_shapes(scratch),
-        predicted_flops=pred.flops, predicted_params=pred.params,
+        removals=[(grp, float(gscore[grp.gid])) for grp in t.groups(picked)],
+        predicted_shapes=shapes, predicted_flops=flops,
+        predicted_params=params,
         baseline_flops=base.flops, baseline_params=base.params)
+
+
+def _predict(g: ModelGraph, kept: dict) -> tuple[dict, int, int]:
+    """Shapes, FLOPs and parameters (by the ``metrics`` convention) of g
+    once each Dense/Conv2D layer keeps ``kept[layer_id]`` output
+    channels, from the widths alone: as in the rewrite, every tensor
+    shrinks along its output-channel axis, and a weight also along its
+    input's."""
+    shapes = infer_shapes(g)
+    extent = {INPUT: g.input_shape[0]}  # first axis, before removals
+    width = {INPUT: g.input_shape[0]}  # first axis, after
+    out_shapes, flops, params = {}, 0, 0
+    for node in g.nodes.values():
+        k, ins = node.kind, node.inputs
+        c_in = width[ins[0]]
+        if k in ("Dense", "Conv2D"):
+            c = kept[node.id]
+        elif k == "Flatten":
+            c = c_in * (shapes[node.id][0] // extent[ins[0]])
+        elif k == "Concat":
+            c = sum(width[s] for s in ins)
+        else:  # Add and the pass-through kinds
+            c = c_in
+        extent[node.id], width[node.id] = shapes[node.id][0], c
+        out_shapes[node.id] = (c,) + shapes[node.id][1:]
+        if k == "Conv2D":
+            flops += c * c_in * node.attrs["k"] ** 2 * math.prod(shapes[node.id][1:])
+        elif k == "Dense":
+            flops += c * c_in
+        for name, t in node.params.items():
+            if name == "w":
+                params += c * c_in * math.prod(t.shape[2:])
+            elif name not in UNCOUNTED_PARAMS:
+                params += c * math.prod(t.shape[1:])
+    return out_shapes, flops, params
 
 
 def execute(g: ModelGraph, pruning_plan: PruningPlan) -> ModelGraph:

@@ -1,18 +1,24 @@
 """Shared utilities for the test suite.
 
 Provides tiny per-layer-kind graphs for gradient checking, a central
-finite-difference checker, and a numpy eigendecomposition oracle for
+finite-difference checker, a numpy eigendecomposition oracle for
 singular values (the production code never calls numpy's SVD/eigh; the
-oracle exists only so tests can cross-check the hand-written kernels).
+oracle exists only so tests can cross-check the hand-written kernels),
+and a union-find reference planner for the array-based one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from energyprune.criteria import normalize_layer_l2
 from energyprune.engine import cross_entropy, forward, backward, init_params, logits_node
-from energyprune.graph import INPUT, LayerNode, ModelGraph
+from energyprune.graph import (INPUT, PASSTHROUGH, LayerNode, ModelGraph,
+                               RewriteRefusal, infer_shapes,
+                               rewrite_remove_channels)
 from energyprune.linalg import make_rng
+from energyprune.metrics import count_complexity
+from energyprune.pruner import PlanError, check_score_widths, default_protected
 
 
 # --- eigendecomposition oracle -------------------------------------------
@@ -238,3 +244,149 @@ def fd_max_rel_err(g, x, y, mode="train", seed=0, h=1e-5):
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-8)
         worst = max(worst, np.linalg.norm(analytic - numeric) / denom)
     return worst
+
+
+# --- reference planner ------------------------------------------------------
+# The union-find grouping and the per-group planner as they were before
+# channel groups and ranking moved onto slot arrays. They are slow and
+# obviously right, which makes them the oracle for the array code, the
+# way finite differences are for the engine's gradients.
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def reference_channel_groups(g):
+    """(gid, slots, prunable) per group: union-find over the (layer_id,
+    channel) slots an Add ties, numbered in the order of each root."""
+    shapes = infer_shapes(g)
+    uf = _UnionFind()
+    frozen: set = set()
+    prov: dict = {INPUT: [None] * g.input_shape[0]}
+    for node in g.nodes.values():
+        k = node.kind
+        if k in ("Dense", "Conv2D"):
+            slots = [(node.id, i) for i in range(node.attrs["out"])]
+            for s in slots:
+                uf.add(s)
+            prov[node.id] = slots
+        elif k in PASSTHROUGH:
+            prov[node.id] = prov[node.inputs[0]]
+        elif k == "Flatten":
+            prov[node.id] = [None] * shapes[node.id][0]
+        elif k == "Add":
+            merged = []
+            for members in zip(*(prov[s] for s in node.inputs)):
+                real = [m for m in members if m is not None]
+                for a, b in zip(real, real[1:]):
+                    uf.union(a, b)
+                if real and len(real) != len(members):
+                    frozen.update(real)
+                merged.append(real[0] if real else None)
+            prov[node.id] = merged
+        else:  # Concat
+            prov[node.id] = [s for src in node.inputs for s in prov[src]]
+    frozen_roots = {uf.find(s) for s in frozen}
+    buckets: dict = {}
+    for slot in uf.parent:
+        buckets.setdefault(uf.find(slot), []).append(slot)
+    order = {nid: i for i, nid in enumerate(g.nodes)}
+    roots = sorted(buckets, key=lambda s: (order[s[0]], s[1]))
+    return [(gid, frozenset(buckets[root]), root not in frozen_roots)
+            for gid, root in enumerate(roots)]
+
+
+def reference_plan(g, scores, spec, frac=1.0, done=None):
+    """What ``pruner._plan(g, scores, spec, frac, done)`` returns, with
+    removals as (gid, slots, score) and the predictions taken from a
+    rewrite of g: (removals, predicted_shapes, predicted_flops,
+    predicted_params, baseline_flops, baseline_params)."""
+    done = done or {}
+    groups = reference_channel_groups(g)
+    protected = set(spec.protected) if spec.protected is not None \
+        else default_protected(g)
+    order = {nid: i for i, nid in enumerate(g.nodes)}
+
+    def sort_key(grp):
+        return min((order[lid], ch) for lid, ch in grp[1])
+
+    candidates = [grp for grp in sorted(groups, key=sort_key)
+                  if grp[2]
+                  and not any(lid in protected for lid, _ in grp[1])
+                  and all(lid in scores.scores for lid, _ in grp[1])]
+    check_score_widths(g, scores)
+    table = scores if spec.mode == "per-layer" \
+        or scores.normalization == "layer-l2" else normalize_layer_l2(scores)
+
+    def group_score(grp):
+        return min(table.get(lid, ch) for lid, ch in grp[1])
+
+    selected = []
+    if spec.mode == "per-layer":
+        chosen: dict = {}
+        by_layer: dict = {}
+        for grp in candidates:
+            for lid, ch in grp[1]:
+                by_layer.setdefault(lid, []).append((ch, grp))
+        for lid, entries in by_layer.items():
+            r = spec.per_layer_ratios.get(lid, spec.ratio)
+            c = g.nodes[lid].attrs["out"] + done.get(lid, 0)
+            k = int(np.floor(r * c * frac)) - done.get(lid, 0)
+            if k <= 0:
+                continue
+            entries = sorted(entries, key=lambda e: e[0])
+            ranked = sorted(entries, key=lambda e: table.get(lid, e[0]))
+            for _, grp in ranked[:k]:
+                chosen[grp[0]] = grp
+        selected = [(grp, group_score(grp))
+                    for grp in sorted(chosen.values(), key=sort_key)]
+        selected.sort(key=lambda e: e[1])
+    else:
+        total = sum(len(grp[1]) for grp in candidates) + sum(done.values())
+        target = int(round(spec.threshold * total * frac)) \
+            - sum(done.values())
+        ranked = sorted(((grp, group_score(grp)) for grp in candidates),
+                        key=lambda e: (e[1], sort_key(e[0])))
+        remaining = {lid: g.nodes[lid].attrs["out"]
+                     for grp in candidates for lid, _ in grp[1]}
+        removed = 0
+        for grp, score in ranked:
+            if removed >= target:
+                break
+            counts: dict = {}
+            for lid, _ in grp[1]:
+                counts[lid] = counts.get(lid, 0) + 1
+            if any(remaining[lid] - n < 1 for lid, n in counts.items()):
+                continue
+            for lid, n in counts.items():
+                remaining[lid] -= n
+            selected.append((grp, score))
+            removed += len(grp[1])
+        if removed < target:
+            raise PlanError(
+                f"cannot reach threshold {spec.threshold}: only {removed} of "
+                f"{target} channels removable")
+    try:
+        scratch = rewrite_remove_channels(
+            g, (s for grp, _ in selected for s in grp[1]))
+    except RewriteRefusal as exc:
+        raise PlanError(f"spec would empty a layer: {exc}") from exc
+    base, pred = count_complexity(g), count_complexity(scratch)
+    return ([(grp[0], grp[1], score) for grp, score in selected],
+            infer_shapes(scratch), pred.flops, pred.params,
+            base.flops, base.params)

@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from energyprune.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                              _build_arch, main)
+from energyprune.criteria import compute_scores
 from energyprune.modelio import (SCORE_HEADER, load_dataset, load_model,
-                                 read_tsv, save_dataset, save_model)
+                                 read_tsv, save_dataset, save_model,
+                                 score_table_rows)
 from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp)
 
@@ -146,14 +148,31 @@ class TestExitCodes:
         ["fc1\t0\t1.5"],
         [f"fc1\t{ch}\t1.5\tweight\t8\t0" for ch in range(3)],
         ["relu1\t0\t1.5\tweight\t8\t0"],
+        ["nope\t0\t1.5\tweight\t8\t0"],
     ], ids=["missing-channel", "non-numeric-score", "short-row",
-            "missing-last-channels", "not-a-prunable-layer"])
+            "missing-last-channels", "not-a-prunable-layer", "unknown-layer"])
     def test_wrong_score_table_is_data_error(self, workdir, tmp_path, rows):
         bad = tmp_path / "bad.tsv"
         bad.write_text("\n".join(["\t".join(SCORE_HEADER)] + rows) + "\n")
         assert main(["prune", "--model", str(workdir / "model.json"),
                      "--scores", str(bad),
                      "--out", str(tmp_path / "p.json")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("mode", ["global", "per-layer"])
+    def test_another_models_score_table_is_data_error(self, tmp_path, capsys,
+                                                      mode):
+        # such a table once pruned nothing and exited 0
+        model = tmp_path / "mlp.json"
+        save_model(build_toy_mlp(hidden=8, seed=0), model)
+        scores = tmp_path / "other.tsv"
+        scores.write_text("\n".join(
+            ["\t".join(SCORE_HEADER)]
+            + [f"{lid}\t{ch}\t{ch + 1}\tweight\t8\t0"
+               for lid in ("nope", "fc9") for ch in range(8)]) + "\n")
+        assert main(["prune", "--model", str(model), "--scores", str(scores),
+                     "--mode", mode, "--ratio", "0.5", "--threshold", "0.5",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_DATA
+        assert "'nope'" in capsys.readouterr().err
 
     def test_prune_without_score_source_is_config_error(self, workdir,
                                                         tmp_path, capsys):
@@ -337,3 +356,64 @@ def test_corrupted_model_never_raises(corruptible, data):
         for argv in (["count", "--model", str(model)],
                      ["eval", "--model", str(model), "--data", str(dataset)]):
             assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+
+
+# --- corrupted score tables -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def score_lines(corruptible):
+    """The lines of a weight-score table for each corruptible model."""
+    root, cases = corruptible
+    lines = {}
+    for name in cases:
+        g = load_model(root / f"{name}.json")
+        table = compute_scores(g, "weight", None)
+        lines[name] = ["\t".join(SCORE_HEADER)] + [
+            "\t".join(str(v) for v in row) for row in score_table_rows(table)]
+    return lines
+
+
+ODD_CHANNELS = ["abc", "1.5", "", "-1", "99999999999999999999"]
+ODD_SCORES = ["nan", "-1", "-0.0", "1e308", "inf", "abc", ""]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrupted_score_table_never_raises(corruptible, score_lines, data):
+    root, cases = corruptible
+    name = data.draw(st.sampled_from(sorted(cases)))
+    header, *rows = score_lines[name]
+    layers = sorted({row.split("\t")[0] for row in rows})
+    how = data.draw(st.sampled_from(
+        ["drop", "duplicate", "rename", "renumber", "rescore", "truncate"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].split("\t")
+    if how == "drop":
+        del rows[i]
+    elif how == "duplicate":
+        rows.insert(data.draw(st.integers(0, len(rows))), rows[i])
+    elif how == "rename":
+        new = data.draw(st.sampled_from(layers + ["nope", "", "out"]))
+        whole = data.draw(st.booleans())  # every row of the layer, or one
+        rows = [new + row[len(fields[0]):]
+                if row.startswith(fields[0] + "\t") and (whole or j == i)
+                else row for j, row in enumerate(rows)]
+    elif how in ("renumber", "rescore"):
+        at = 1 if how == "renumber" else 2
+        fields[at] = data.draw(st.one_of(
+            st.integers(-2, 40).map(str),
+            st.sampled_from(ODD_CHANNELS if at == 1 else ODD_SCORES)))
+        rows[i] = "\t".join(fields)
+    text = "\n".join([header] + rows) + "\n"
+    if how == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    scores = root / "corrupted.tsv"
+    scores.write_text(text)
+    with np.errstate(all="ignore"):
+        for flags in (["--mode", "per-layer", "--ratio", "0.5"],
+                      ["--mode", "global", "--threshold", "0.3"]):
+            assert main(["prune", "--model", str(root / f"{name}.json"),
+                         "--scores", str(scores), *flags,
+                         "--out", str(root / "pruned.json")]) \
+                in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)

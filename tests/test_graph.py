@@ -168,10 +168,13 @@ class TestChannelGroups:
 
     def test_flatten_breaks_provenance(self):
         g = build_toy_cnn_inception()
-        prov, _, _ = channel_provenance(g)
-        assert all(s is None for s in prov["flat"])
+        t = channel_provenance(g)
+        assert all(s == -1 for s in t.prov["flat"])
         # dense slots after the flatten are their own groups
-        assert prov["out"] == [("out", i) for i in range(4)]
+        out = t.start[t.layers.index("out")]
+        assert t.prov["out"].tolist() == [out + i for i in range(4)]
+        assert [(t.layers[t.layer[s]], s - out) for s in t.prov["out"]] == \
+            [("out", i) for i in range(4)]
 
 
 def _rewrite_models():

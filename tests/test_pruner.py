@@ -1,17 +1,29 @@
 """Planning, executing, and verifying channel removal."""
 
+import tracemalloc
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from energyprune.criteria import ScoreTable, compute_scores
-from energyprune.engine import TrainConfig, forward
+from energyprune.engine import TrainConfig, forward, init_params
+from energyprune.graph import INPUT, ModelGraph, build_channel_groups
 from energyprune.linalg import make_rng
 from energyprune.pruner import (ConsistencyError, PlanError, PruningPlan,
-                                PruningSpec, default_protected, execute,
-                                plan, prune_pipeline)
-from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
-                                  build_toy_cnn_residual, build_toy_mlp,
+                                PruningSpec, _layer_counts, _plan,
+                                default_protected, execute, plan,
+                                prune_pipeline)
+from energyprune.toybench import (ToyDatasetSpec, build_reference_arch,
+                                  build_toy_cnn_inception,
+                                  build_toy_cnn_plain,
+                                  build_toy_cnn_residual,
+                                  build_toy_densenet_cell, build_toy_mlp,
                                   gen_blobs)
+
+from helpers import (_conv, _dense, _op, reference_channel_groups,
+                     reference_plan)
 
 
 def _mlp_scores(g, values):
@@ -177,6 +189,25 @@ class TestPlanIntegrity:
         with pytest.raises(PlanError, match="c1.bn"):
             plan(g, table, PruningSpec(mode="per-layer", ratio=0.3))
 
+    @pytest.mark.parametrize("mode", ["global", "per-layer"])
+    def test_scores_for_layers_the_graph_lacks(self, mode):
+        # a table from another model once planned 0 removals silently
+        g = build_toy_mlp(hidden=8, seed=0)
+        table = ScoreTable("weight", scores={"nope": np.ones(8),
+                                             "fc9": np.ones(8)})
+        with pytest.raises(PlanError, match="'nope'"):
+            plan(g, table, PruningSpec(mode=mode, ratio=0.5, threshold=0.5))
+
+    @pytest.mark.parametrize("field", ["per_layer_ratios", "protected"])
+    def test_spec_names_a_layer_the_graph_lacks(self, field):
+        g = build_toy_mlp(hidden=8, seed=0)
+        table = compute_scores(g, "weight", None)
+        value = {"fc9": 0.5} if field == "per_layer_ratios" else ["fc9"]
+        spec = PruningSpec(mode="per-layer", ratio=0.25, criterion="weight",
+                           **{field: value})
+        with pytest.raises(PlanError, match="'fc9'"):
+            plan(g, table, spec)
+
     def test_custom_protected_layers(self):
         g = build_toy_mlp(hidden=4, seed=0)
         table = compute_scores(g, "weight", None)
@@ -238,3 +269,140 @@ def test_iterative_pruning_removes_the_one_shot_total(mode, steps):
     assert sum(widths) == 60
     if mode == "per-layer":
         assert widths == [20, 20, 20]
+
+
+# --- the array planner against the union-find reference ---------------------
+
+def _add_on_input():
+    """An Add on the graph input freezes the conv it meets; a one-channel
+    conv follows."""
+    g = ModelGraph((3, 4, 4))
+    _conv(g, "c", INPUT, 3, 3)
+    _op(g, "add", "Add", [INPUT, "c"])
+    _conv(g, "d", "add", 3, 1)
+    _conv(g, "e", "d", 1, 4)
+    _op(g, "gap", "GlobalAvgPool", "e")
+    _dense(g, "fc", "gap", 4, 2)
+    return init_params(g, 0)
+
+
+ORACLE_GRAPHS = {
+    "toy-cnn-residual": lambda: build_toy_cnn_residual(seed=0),
+    "toy-cnn-inception": lambda: build_toy_cnn_inception(seed=0),
+    "toy-densenet-cell": lambda: build_toy_densenet_cell(seed=0),
+    "resnet56": lambda: init_params(build_reference_arch("resnet56"), 0),
+    "densenet40": lambda: init_params(build_reference_arch("densenet40"), 0),
+    "toy-mlp": lambda: build_toy_mlp(hidden=8, seed=0),
+    "toy-mlp-1": lambda: build_toy_mlp(hidden=1, seed=0),
+    "add-on-input": _add_on_input,
+}
+
+
+@cache
+def _oracle_graph(name):
+    return ORACLE_GRAPHS[name]()
+
+
+def _draw_scores(data, g, rng):
+    """Scores over a drawn subset of the layers: ties, zeros or distinct
+    values, sometimes already layer-l2 normalized."""
+    layers = [n.id for n in g.nodes.values() if n.kind in ("Dense", "Conv2D")]
+    kind = data.draw(st.sampled_from(["ties", "zeros", "distinct"]))
+    keep = data.draw(st.sampled_from(["all", "most"]))
+    scores = {}
+    for lid in layers:
+        if keep == "most" and rng.random() < 0.2:
+            continue
+        c = g.nodes[lid].attrs["out"]
+        if kind == "ties":
+            vec = rng.integers(0, 3, size=c).astype(float)
+        elif kind == "zeros":
+            vec = rng.random(c) * (rng.random(c) < 0.3)
+        else:
+            vec = rng.random(c)
+        scores[lid] = vec
+    norm = data.draw(st.sampled_from(["raw", "layer-l2"]))
+    return ScoreTable("weight", scores=scores, normalization=norm)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except PlanError as exc:
+        return f"PlanError: {exc}"
+
+
+def _as_reference(p):
+    return ([(grp.gid, grp.slots, score) for grp, score in p.removals],
+            p.predicted_shapes, p.predicted_flops, p.predicted_params,
+            p.baseline_flops, p.baseline_params)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_plan_matches_the_union_find_reference(data):
+    name = data.draw(st.sampled_from(sorted(ORACLE_GRAPHS)))
+    g = _oracle_graph(name)
+    assert [tuple(grp) for grp in build_channel_groups(g)] == \
+        reference_channel_groups(g)
+    rng = make_rng(data.draw(st.integers(0, 2**16)))
+    layers = [n.id for n in g.nodes.values() if n.kind in ("Dense", "Conv2D")]
+    mode = data.draw(st.sampled_from(["global", "per-layer"]))
+    spec = PruningSpec(
+        mode=mode, criterion="weight",
+        ratio=data.draw(st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.7, 0.9])),
+        threshold=data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9])),
+        per_layer_ratios={lid: 0.5 for lid in layers if rng.random() < 0.2},
+        protected=data.draw(st.sampled_from(
+            [None, [], [lid for lid in layers if rng.random() < 0.3]])))
+    steps = data.draw(st.sampled_from([1, 1, 2, 3]))
+    done: dict = {}
+    for step in range(1, steps + 1):
+        table = _draw_scores(data, g, rng)
+        got = _outcome(lambda: _plan(g, table, spec, step / steps, done))
+        want = _outcome(
+            lambda: reference_plan(g, table, spec, step / steps, done))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert _as_reference(got) == want
+        assert all(grp.prunable for grp, _ in got.removals)
+        counts = _layer_counts(s for grp, _ in got.removals for s in grp.slots)
+        done = {lid: done.get(lid, 0) + counts.get(lid, 0)
+                for lid in set(done) | set(counts)}
+        g = execute(g, got)
+
+
+@pytest.mark.parametrize("name, mode, r", [
+    ("resnet56", "per-layer", 0.7),  # tied layers empty each other
+    ("toy-cnn-residual", "per-layer", 0.9),
+    ("toy-mlp-1", "global", 0.5),  # one-channel layers cannot shrink
+    ("add-on-input", "global", 0.9),  # a frozen group and a protected one
+])
+def test_plan_errors_match_the_reference(name, mode, r):
+    g = _oracle_graph(name)
+    table = compute_scores(g, "weight", None)
+    for node in g.nodes.values():  # weight scores skip layers with no ReLU/BN
+        if node.kind in ("Dense", "Conv2D"):
+            table.scores.setdefault(node.id, np.arange(node.attrs["out"], 0.0, -1))
+    spec = PruningSpec(mode=mode, ratio=r, threshold=r, criterion="weight")
+    want = _outcome(lambda: reference_plan(g, table, spec))
+    assert isinstance(want, str)
+    assert _outcome(lambda: plan(g, table, spec)) == want
+
+
+@pytest.mark.parametrize("name", ["vgg16bn", "googlenet"])
+def test_plan_allocates_a_small_fraction_of_the_model(name):
+    # planning once made a scratch copy of about half the parameters
+    g = init_params(build_reference_arch(name), 0)
+    table = compute_scores(g, "weight", None)
+    spec = PruningSpec(mode="global", threshold=0.3, criterion="weight")
+    param_bytes = sum(t.nbytes for _, _, t in g.parameters())
+    tracemalloc.start()
+    try:
+        plan(g, table, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.10 * param_bytes
