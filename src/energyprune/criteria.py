@@ -176,10 +176,15 @@ def score_lrp(g: ModelGraph, samples: np.ndarray, seed: int = 0) -> ScoreTable:
 
 def normalize_layer_l2(table: ScoreTable) -> ScoreTable:
     """Each layer's score vector divided by its Euclidean norm; an
-    all-zero layer is left unchanged."""
+    all-zero layer is left unchanged. When the norm overflows, the
+    vector is first divided by its largest magnitude."""
     scores = {}
     for lid, vec in table.scores.items():
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if not np.isfinite(norm):
+            vec = vec / np.max(np.abs(vec))
+            norm = float(np.linalg.norm(vec))
         scores[lid] = vec / norm if norm > 0 else vec.copy()
     return replace(table, scores=scores, normalization="layer-l2")
 

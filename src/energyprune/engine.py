@@ -86,9 +86,9 @@ def _windows(x, k, stride, pad, fill=0.0):
 
 
 def _scatter_windows(gwin, x_shape, stride, pad):
-    """Adjoint of ``_windows``: sums (N, C, k, k, Ho, Wo) window
-    gradients back onto the (N, C, H, W) input. Window offsets lead, so
-    each of the k*k adds reads whole (Ho, Wo) maps."""
+    """Adjoint of ``_windows`` for the pools: sums (N, C, k, k, Ho, Wo)
+    window gradients back onto the (N, C, H, W) input. Window offsets
+    lead, so each of the k*k adds reads whole (Ho, Wo) maps."""
     n, c, h, w = x_shape
     _, _, k, _, ho, wo = gwin.shape
     gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
@@ -188,8 +188,28 @@ def _forward_node(node, xs, mode, rng, cache):
     raise AssertionError(f"unhandled kind {k}")
 
 
-def _backward_node(node, grad, cache, param_grads):
-    """Returns one gradient per input of the node."""
+def _conv_input_grad(grad, w, x_shape, stride, pad):
+    """Conv2D input gradient as a stride-1 forward convolution: ``grad``
+    is zero-inserted (every ``stride``-th row and column) and padded by
+    k - 1, and its k x k windows at the H x W input positions meet the
+    flipped, transposed kernel in one channel-first im2col GEMM."""
+    n, cout, ho, wo = grad.shape
+    _, c, h, wd = x_shape
+    k = w.shape[2]
+    # the window of output row i starts at row stride * i of the padded
+    # input; here that row sits at k - 1 + stride * i
+    dil = np.zeros((n, cout, h + 2 * pad + k - 1, wd + 2 * pad + k - 1))
+    dil[:, :, k - 1:k - 1 + stride * ho:stride,
+        k - 1:k - 1 + stride * wo:stride] = grad
+    win = _windows(dil, k, 1, 0)[:, :, pad:pad + h, pad:pad + wd]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, cout * k * k, h * wd)
+    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    return (wf @ cols).reshape(n, c, h, wd)
+
+
+def _backward_node(node, grad, cache, param_grads, input_grad=True):
+    """Returns one gradient per input of the node; a Conv2D returns
+    [None] when ``input_grad`` is off."""
     k = node.kind
     if k == "Dense":
         x = cache["x"]
@@ -205,8 +225,9 @@ def _backward_node(node, grad, cache, param_grads):
         param_grads[(node.id, "w")] = gw.sum(axis=0).reshape(w.shape)
         if "b" in node.params:
             param_grads[(node.id, "b")] = g.sum(axis=(0, 2))
-        gwin = (w.reshape(cout, -1).T @ g).reshape((n,) + w.shape[1:] + (ho, wo))
-        return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
+        if not input_grad:
+            return [None]
+        return [_conv_input_grad(grad, w, cache["x_shape"], node.attrs["stride"],
                                  node.attrs["pad"])]
     if k == "BatchNorm":
         xhat, inv, axes, shape = cache["xhat"], cache["inv"], cache["axes"], cache["shape"]
@@ -364,7 +385,8 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
         if grad is None:
             continue
         node = g.nodes[nid]
-        in_grads = _backward_node(node, grad, fwd.caches[nid], param_grads)
+        in_grads = _backward_node(node, grad, fwd.caches[nid], param_grads,
+                                  input_grad=node.inputs != [INPUT])
         for src, ig in zip(node.inputs, in_grads):
             if src == INPUT:
                 continue

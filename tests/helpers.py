@@ -4,7 +4,8 @@ Provides tiny per-layer-kind graphs for gradient checking, a central
 finite-difference checker, a numpy eigendecomposition oracle for
 singular values (the production code never calls numpy's SVD/eigh; the
 oracle exists only so tests can cross-check the hand-written kernels),
-and a union-find reference planner for the array-based one.
+a scatter-based reference for the Conv2D input gradient, and a
+union-find reference planner for the array-based one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from energyprune.criteria import normalize_layer_l2
-from energyprune.engine import cross_entropy, forward, backward, init_params, logits_node
+from energyprune.engine import (_scatter_windows, cross_entropy, forward,
+                                backward, init_params, logits_node)
 from energyprune.graph import (INPUT, PASSTHROUGH, LayerNode, ModelGraph,
                                RewriteRefusal, infer_shapes,
                                rewrite_remove_channels)
@@ -244,6 +246,19 @@ def fd_max_rel_err(g, x, y, mode="train", seed=0, h=1e-5):
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-8)
         worst = max(worst, np.linalg.norm(analytic - numeric) / denom)
     return worst
+
+
+# --- reference conv input gradient -----------------------------------------
+
+def reference_conv_input_grad(grad, w, x_shape, stride, pad):
+    """The Conv2D input gradient as the engine computed it before it
+    became one GEMM over the dilated gradient: the transposed kernel maps
+    each output position's gradient to its k x k window, and the windows
+    are summed back onto the input one kernel offset at a time."""
+    n, cout, ho, wo = grad.shape
+    gwin = (w.reshape(cout, -1).T @ grad.reshape(n, cout, ho * wo)) \
+        .reshape((n,) + w.shape[1:] + (ho, wo))
+    return _scatter_windows(gwin, x_shape, stride, pad)
 
 
 # --- reference planner ------------------------------------------------------

@@ -9,12 +9,18 @@ interrogated by one or more tests.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import energyprune
 from energyprune.cli import main
 from energyprune.criteria import compute_scores, score_nuclear
 from energyprune.engine import capture_activations, forward, logits_node
@@ -247,6 +253,41 @@ def test_criterion_9_experiment_report_is_byte_identical(tmp_path):
     assert main(["toy-experiment", "--seed", "7", "--out", str(p1)]) == 0
     assert main(["toy-experiment", "--seed", "7", "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Trains toy-cnn-residual for one epoch, then scores it by nuclear norm;
+# prints the validation accuracies and the scores as JSON, whose float
+# repr round-trips every bit.
+ONE_EPOCH_REPORT = """
+import json
+from energyprune.criteria import compute_scores
+from energyprune.engine import TrainConfig, train
+from energyprune.toybench import build_toy_cnn_residual, gen_class_images
+data = gen_class_images(samples_per_class=64, seed=3)
+g, hist = train(build_toy_cnn_residual(seed=0), (data.train_x, data.train_y),
+                TrainConfig(max_epochs=1, batch_size=32, seed=0))
+table = compute_scores(g, "nuclear", data.test_x)
+print(json.dumps({"val_acc": [row[2] for row in hist],
+                  "scores": {lid: v.tolist() for lid, v in table.scores.items()}}))
+"""
+
+
+def test_criterion_9_report_is_blas_thread_invariant():
+    # the README promises scores and accuracies that do not depend on the
+    # BLAS thread count; the thread count is fixed when numpy loads, so
+    # each count gets its own interpreter
+    src = str(Path(energyprune.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", ONE_EPOCH_REPORT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        reports.append(json.loads(out))
+    assert reports[0]["val_acc"] == reports[1]["val_acc"]
+    assert reports[0]["scores"] == reports[1]["scores"]
+    assert len(reports[0]["scores"]) == 5
 
 
 def test_criterion_9_scoring_is_thread_invariant():

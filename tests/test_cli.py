@@ -174,6 +174,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "p.json")]) == EXIT_DATA
         assert "'nope'" in capsys.readouterr().err
 
+    def test_huge_finite_scores_keep_their_channels(self, tmp_path):
+        model = tmp_path / "mlp.json"
+        save_model(build_toy_mlp(hidden=8, seed=0), model)
+        fc1 = ["1e308"] * 2 + ["5"] * 6
+        scores = tmp_path / "huge.tsv"
+        scores.write_text("\n".join(
+            ["\t".join(SCORE_HEADER)]
+            + [f"fc1\t{ch}\t{v}\tweight\t8\t0" for ch, v in enumerate(fc1)]
+            + [f"{lid}\t{ch}\t{ch + 1}\tweight\t8\t0"
+               for lid in ("fc2", "fc3") for ch in range(8)]) + "\n")
+        plan_tsv = tmp_path / "plan.tsv"
+        assert main(["prune", "--model", str(model), "--scores", str(scores),
+                     "--mode", "global", "--threshold", "0.25",
+                     "--plan", str(plan_tsv),
+                     "--out", str(tmp_path / "p.json")]) == 0
+        _, rows = read_tsv(plan_tsv)
+        assert sorted(row[1] for row in rows) == [f"fc1:{ch}" for ch in range(2, 8)]
+
     def test_prune_without_score_source_is_config_error(self, workdir,
                                                         tmp_path, capsys):
         assert main(["prune", "--model", str(workdir / "model.json"),

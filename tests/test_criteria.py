@@ -180,6 +180,17 @@ class TestScoreTable:
         assert n.normalization == "layer-l2"
         assert np.allclose(t.scores["a"], [3.0, 4.0])  # input untouched
 
+    def test_normalize_layer_l2_survives_huge_finite_scores(self):
+        # the squared norm overflows; the layer's ranking must survive it
+        t = ScoreTable("weight", scores={
+            "a": np.array([1e308, 1e308] + [5.0] * 6),
+            "b": np.array([1.7e308, 1e308])})
+        with np.errstate(over="raise"):
+            n = normalize_layer_l2(t)
+        assert np.allclose(n.scores["a"][:2], 2 ** -0.5)
+        assert np.all(n.scores["a"][2:] > 0)
+        assert np.allclose(n.scores["b"], np.array([1.7, 1.0]) / np.hypot(1.7, 1.0))
+
 
 class TestComputeScores:
     def test_dispatch_covers_all_criteria_on_mlp(self):

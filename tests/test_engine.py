@@ -14,7 +14,7 @@ from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
                                   gen_blobs)
 from helpers import (KIND_CONFIGS, _bn, _conv, _dense, _finish, _op,
-                     fd_max_rel_err)
+                     fd_max_rel_err, reference_conv_input_grad)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
@@ -62,6 +62,59 @@ def test_window_backward_is_the_adjoint_of_forward(k, stride, pad, kind):
     assert gx.shape == x.shape
     lhs, rhs = np.vdot(out, g), np.vdot(x, gx)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(out) * np.linalg.norm(g)
+
+
+def test_conv_input_gradient_matches_the_scatter_reference():
+    # every k, stride and pad <= k // 2 on non-square maps; for stride > 1
+    # both extents leave a remainder row that no window reaches
+    cases = [(k, stride, pad, c, cout) for k in (1, 2, 3, 5)
+             for stride in (1, 2, 3) for pad in range(k // 2 + 1)
+             for c, cout in ((1, 3), (4, 2))]
+    for i, (k, stride, pad, c, cout) in enumerate(cases):
+        rng = make_rng(500 + i)
+        h = k - 2 * pad + 3 * stride - 1
+        if stride > 1:
+            assert (h + 2 * pad - k) % stride and (h + 2 + 2 * pad - k) % stride
+        x = rng.normal(size=(2, c, h, h + 2))
+        w = rng.normal(size=(cout, c, k, k))
+        node = LayerNode("n", "Conv2D", {"in": c, "out": cout, "k": k,
+                                         "stride": stride, "pad": pad},
+                         {"w": w}, [INPUT])
+        cache: dict = {}
+        grad = rng.normal(size=_forward_node(node, [x], "eval", None, cache).shape)
+        (gx,) = _backward_node(node, grad, cache, {})
+        ref = reference_conv_input_grad(grad, w, x.shape, stride, pad)
+        assert gx.shape == x.shape
+        assert np.max(np.abs(gx - ref)) <= 1e-13 * np.max(np.abs(ref)), \
+            (k, stride, pad, c, cout)
+
+
+def test_conv_reading_the_graph_input_gets_the_same_parameter_gradients():
+    # backward skips the input gradient of a conv that reads the graph
+    # input; behind an identity (p = 0 Dropout) the conv computes it and
+    # the gradient is dropped one node later
+    def build(identity):
+        g = ModelGraph((3, 7, 6))
+        if identity:
+            _op(g, "id", "Dropout", INPUT, p=0.0)
+        _conv(g, "c1", "id" if identity else INPUT, 3, 4, stride=2)
+        _bn(g, "bn", "c1", 4)
+        _op(g, "r", "ReLU", "bn")
+        _conv(g, "c2", "r", 4, 5)
+        _op(g, "gap", "GlobalAvgPool", "c2")
+        _dense(g, "out", "gap", 5, 3)
+        return _finish(g, 61)
+
+    g, x, y = build(False)
+    g_id, _, _ = build(True)
+    _, direct, node_grads, _ = backward(g, x, y)
+    _, behind, node_grads_id, _ = backward(g_id, x, y)
+    assert direct.keys() == behind.keys()
+    for key in direct:
+        assert np.array_equal(direct[key], behind[key]), key
+    for nid in node_grads:
+        assert np.array_equal(node_grads[nid], node_grads_id[nid]), nid
+    assert node_grads_id["id"].shape == x.shape
 
 
 @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (2, 2, 1), (3, 1, 1),

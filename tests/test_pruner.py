@@ -145,6 +145,16 @@ class TestGlobal:
         assert ("fc1", 3) not in removed
         assert {("fc1", 0), ("fc1", 1), ("fc1", 2)} <= removed
 
+    def test_huge_finite_scores_keep_their_channels(self):
+        # an overflowing layer norm once zeroed every score of fc1, so the
+        # plan removed its two largest channels first
+        g = build_toy_mlp(hidden=8, seed=0)
+        scores = _mlp_scores(g, {"fc1": [1e308, 1e308] + [5] * 6,
+                                 "fc2": range(1, 9), "fc3": range(1, 9)})
+        spec = PruningSpec(mode="global", threshold=0.25, criterion="weight")
+        removed = plan(g, scores, spec).removed_slots
+        assert removed == {("fc1", ch) for ch in range(2, 8)}
+
     def test_never_empties_a_layer(self):
         g = build_toy_mlp(hidden=2, seed=0)
         scores = _mlp_scores(g, {"fc1": [0.0, 0.0], "fc2": [5.0, 6.0],
