@@ -10,7 +10,7 @@ degenerate into a lottery whose losers can be whole concentrations of
 useful neurons. Activation-energy (nuclear-norm) scores keep working
 because they read the forward signal, not the vanishing backward one.
 
-Run:  python3 demos/03_criterion_comparison.py   (about half a minute)
+Run:  python3 demos/03_criterion_comparison.py   (about 20 seconds)
 """
 
 from energyprune.experiments import (TOY_REPORT_HEADER, run_toy_experiment,

@@ -174,16 +174,22 @@ def score_lrp(g: ModelGraph, samples: np.ndarray, seed: int = 0) -> ScoreTable:
     return table.validate()
 
 
+# Below this magnitude the squares inside a norm turn subnormal or zero.
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
+
 def normalize_layer_l2(table: ScoreTable) -> ScoreTable:
     """Each layer's score vector divided by its Euclidean norm; an
-    all-zero layer is left unchanged. When the norm overflows, the
-    vector is first divided by its largest magnitude."""
+    all-zero layer is left unchanged. When the norm overflows, or the
+    largest magnitude is so small that the squares underflow, the vector
+    is first divided by its largest magnitude."""
     scores = {}
     for lid, vec in table.scores.items():
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(vec))
-        if not np.isfinite(norm):
-            vec = vec / np.max(np.abs(vec))
+        big = float(np.max(np.abs(vec), initial=0.0))
+        if not np.isfinite(norm) or 0.0 < big < _SQRT_TINY:
+            vec = vec / big
             norm = float(np.linalg.norm(vec))
         scores[lid] = vec / norm if norm > 0 else vec.copy()
     return replace(table, scores=scores, normalization="layer-l2")

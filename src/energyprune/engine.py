@@ -78,26 +78,16 @@ class GradientRecord:
 
 def _windows(x, k, stride, pad, fill=0.0):
     """(N, C, Ho, Wo, k, k) view of the k x k windows of an (N, C, H, W)
-    batch, padded by ``pad`` with ``fill``."""
+    batch. With ``pad``, the batch is first copied into the middle of a
+    buffer ``pad`` wider on every side and filled with ``fill``; without,
+    the view reads ``x`` itself. ``win[..., i, j]`` is the strided
+    (N, C, Ho, Wo) map of kernel offset (i, j)."""
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=fill)
+        n, c, h, w = x.shape
+        buf = np.full((n, c, h + 2 * pad, w + 2 * pad), fill)
+        buf[:, :, pad:pad + h, pad:pad + w] = x
+        x = buf
     return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-
-
-def _scatter_windows(gwin, x_shape, stride, pad):
-    """Adjoint of ``_windows`` for the pools: sums (N, C, k, k, Ho, Wo)
-    window gradients back onto the (N, C, H, W) input. Window offsets
-    lead, so each of the k*k adds reads whole (Ho, Wo) maps."""
-    n, c, h, w = x_shape
-    _, _, k, _, ho, wo = gwin.shape
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[:, :, i, j]
-    if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
 
 
 def _forward_node(node, xs, mode, rng, cache):
@@ -122,23 +112,30 @@ def _forward_node(node, xs, mode, rng, cache):
         (x,) = xs
         eps = node.attrs.get("eps", 1e-5)
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
         count = x.size // x.shape[1]
         if mode == "train":
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # np.mean and np.var in one centring: the mean is the sum over
+            # the count, and the variance the summed squares of x - mean
+            mean = x.sum(axis=axes) / count
+            xc = x - mean.reshape(shape)
+            buf = np.square(xc)
+            var = buf.sum(axis=axes) / count
             m = node.attrs.get("bn_momentum", 0.1)
             unbiased = var * count / max(count - 1, 1)
             node.params["mean"][:] = (1 - m) * node.params["mean"] + m * mean
             node.params["var"][:] = (1 - m) * node.params["var"] + m * unbiased
         else:
-            mean = node.params["mean"]
+            xc = x - node.params["mean"].reshape(shape)
             var = node.params["var"]
-        shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+            buf = np.empty_like(xc)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+        xhat = np.multiply(xc, inv.reshape(shape), out=xc)
         cache.update(xhat=xhat, inv=inv, axes=axes, shape=shape, mode=mode,
                      count=count)
-        return node.params["gamma"].reshape(shape) * xhat + node.params["beta"].reshape(shape)
+        out = np.multiply(xhat, node.params["gamma"].reshape(shape), out=buf)
+        out += node.params["beta"].reshape(shape)
+        return out
     if k == "ReLU":
         (x,) = xs
         cache["mask"] = x > 0
@@ -148,10 +145,19 @@ def _forward_node(node, xs, mode, rng, cache):
         kk = node.attrs["k"]
         win = _windows(x, kk, node.attrs["stride"], node.attrs.get("pad", 0),
                        fill=-np.inf)
-        win = win.reshape(win.shape[:4] + (kk * kk,))
-        idx = win.argmax(axis=-1)
+        # a running maximum over the k*k offset maps in row-major order;
+        # the strict > keeps the index of the first maximum, the one
+        # argmax picks (for non-NaN input)
+        out = win[..., 0, 0].copy()
+        idx = np.zeros(out.shape, dtype=np.min_scalar_type(kk * kk - 1))
+        gt = np.empty(out.shape, dtype=bool)
+        for o in range(1, kk * kk):
+            v = win[..., o // kk, o % kk]
+            np.greater(v, out, out=gt)
+            np.maximum(out, v, out=out)
+            np.putmask(idx, gt, o)
         cache.update(idx=idx, x_shape=x.shape)
-        return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        return out
     if k == "AvgPool":
         (x,) = xs
         # padded entries count as zeros (count-include-pad convention)
@@ -232,28 +238,38 @@ def _backward_node(node, grad, cache, param_grads, input_grad=True):
     if k == "BatchNorm":
         xhat, inv, axes, shape = cache["xhat"], cache["inv"], cache["axes"], cache["shape"]
         gamma = node.params["gamma"]
-        param_grads[(node.id, "gamma")] = (grad * xhat).sum(axis=axes)
+        buf = grad * xhat
+        param_grads[(node.id, "gamma")] = buf.sum(axis=axes)
         param_grads[(node.id, "beta")] = grad.sum(axis=axes)
-        gxhat = grad * gamma.reshape(shape)
+        gx = grad * gamma.reshape(shape)
         if cache["mode"] == "train":
-            cnt = cache["count"]
-            term = gxhat - gxhat.mean(axis=axes).reshape(shape) \
-                - xhat * (gxhat * xhat).sum(axis=axes).reshape(shape) / cnt
-            return [term * inv.reshape(shape)]
-        return [gxhat * inv.reshape(shape)]
+            # gxhat - mean(gxhat) - xhat * sum(gxhat * xhat) / count in
+            # that order, in place; the result takes buf's memory order,
+            # as a fresh array from both operands would
+            mean = gx.mean(axis=axes)
+            proj = np.multiply(gx, xhat, out=buf).sum(axis=axes)
+            np.multiply(xhat, proj.reshape(shape), out=buf)
+            buf /= cache["count"]
+            gx -= mean.reshape(shape)
+            gx = np.subtract(gx, buf, out=buf)
+        gx *= inv.reshape(shape)
+        return [gx]
     if k == "ReLU":
         return [np.where(cache["mask"], grad, 0.0)]
     if k in ("MaxPool", "AvgPool"):
-        kk = node.attrs["k"]
-        n, c, ho, wo = grad.shape
-        if k == "MaxPool":
-            gwin = np.zeros((n, c, kk * kk, ho, wo))
-            np.put_along_axis(gwin, cache["idx"][:, :, None], grad[:, :, None], axis=2)
-            gwin = gwin.reshape(n, c, kk, kk, ho, wo)
-        else:
-            gwin = np.broadcast_to(grad[:, :, None, None] / (kk * kk), (n, c, kk, kk, ho, wo))
-        return [_scatter_windows(gwin, cache["x_shape"], node.attrs["stride"],
-                                 node.attrs.get("pad", 0))]
+        # the adjoint of _windows: each kernel offset's (N, C, Ho, Wo)
+        # gradient block is added onto its strided map of a padded buffer
+        kk, stride = node.attrs["k"], node.attrs["stride"]
+        pad = node.attrs.get("pad", 0)
+        n, c, h, w = cache["x_shape"]
+        ho, wo = grad.shape[2:]
+        gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        share = grad / (kk * kk) if k == "AvgPool" else None
+        for o in range(kk * kk):
+            i, j = divmod(o, kk)
+            block = share if share is not None else np.where(cache["idx"] == o, grad, 0.0)
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += block
+        return [gx[:, :, pad:-pad, pad:-pad] if pad else gx]
     if k == "GlobalAvgPool":
         n, c, h, w = cache["x_shape"]
         return [np.broadcast_to(grad[:, :, None, None] / (h * w), (n, c, h, w)).copy()]
@@ -369,10 +385,28 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
              mode: str = "train", seed: int = 0):
     """Mean cross-entropy loss, plus gradients for every parameter and
     every node output. Returns (loss, param_grads, node_grads, fwd)."""
+    return _backprop(g, x, labels, mode, seed, prob_floor=0.0)
+
+
+# Softmax probabilities below this are zeroed in the training step only.
+# A confident model's probabilities reach ~1e-300; backpropagated, they
+# fill the gradients with subnormal numbers, which slow every BLAS call
+# that reads them by an order of magnitude. A flushed probability changes
+# a gradient entry by ~1e-250 at most, far below half an ulp of
+# ``weight_decay * param`` for any parameter not itself that small, so
+# the rounded SGD update is the same. The scoring paths (``backward``,
+# ``capture_activations``) keep the raw probabilities: the gradient and
+# Taylor criteria read exactly those collapsing gradients.
+_PROB_FLOOR = 1e-250
+
+
+def _backprop(g, x, labels, mode, seed, prob_floor):
     labels = np.asarray(labels, dtype=np.intp)
     fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True)
     lid = logits_node(g)
     loss, dlogits = _softmax_loss(fwd.activations[lid], labels)
+    if prob_floor:
+        np.copyto(dlogits, 0.0, where=dlogits < prob_floor)
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
 
@@ -505,6 +539,7 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     g = g.copy()
     velocity = {key: np.zeros_like(arr) for nid, name, arr in g.parameters()
                 for key in [(nid, name)] if name not in ("mean", "var")}
+    scratch = np.empty(max((v.size for v in velocity.values()), default=0))
     best = g.copy()
     best_acc = -1.0
     since_best = 0
@@ -517,8 +552,8 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
         losses = []
         for i in range(0, len(xtr), cfg.batch_size):
             bidx = order[i:i + cfg.batch_size]
-            loss, pgrads, _, _ = backward(g, xtr[bidx], ytr[bidx],
-                                          mode="train", seed=step_seed)
+            loss, pgrads, _, _ = _backprop(g, xtr[bidx], ytr[bidx], "train",
+                                           step_seed, _PROB_FLOOR)
             step_seed += 1
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
@@ -528,10 +563,16 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
                 grad = pgrads.get(key)
                 if grad is None:
                     continue
-                grad = grad + cfg.weight_decay * g.nodes[nid].params[name]
+                # grad + wd * param, then param -= lr * vel, with the same
+                # roundings in one scratch buffer instead of temporaries
+                param = g.nodes[nid].params[name]
+                buf = scratch[:param.size].reshape(param.shape)
+                np.multiply(cfg.weight_decay, param, out=buf)
+                np.add(grad, buf, out=buf)
                 vel *= cfg.momentum
-                vel += grad
-                g.nodes[nid].params[name] -= lr * vel
+                vel += buf
+                np.multiply(lr, vel, out=buf)
+                param -= buf
         val_acc = evaluate(g, (xval, yval))
         history.append((epoch, float(np.mean(losses)), val_acc, lr))
         if val_acc > best_acc:

@@ -4,17 +4,20 @@ Provides tiny per-layer-kind graphs for gradient checking, a central
 finite-difference checker, a numpy eigendecomposition oracle for
 singular values (the production code never calls numpy's SVD/eigh; the
 oracle exists only so tests can cross-check the hand-written kernels),
-a scatter-based reference for the Conv2D input gradient, and a
-union-find reference planner for the array-based one.
+the engine's earlier kernels as references (the scatter-based Conv2D
+input gradient, and the pooling, BatchNorm and SGD kernels that the
+engine must match bit for bit), and a union-find reference planner for
+the array-based one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from energyprune.criteria import normalize_layer_l2
-from energyprune.engine import (_scatter_windows, cross_entropy, forward,
-                                backward, init_params, logits_node)
+from energyprune.engine import (cross_entropy, forward, backward, init_params,
+                                logits_node)
 from energyprune.graph import (INPUT, PASSTHROUGH, LayerNode, ModelGraph,
                                RewriteRefusal, infer_shapes,
                                rewrite_remove_channels)
@@ -248,7 +251,32 @@ def fd_max_rel_err(g, x, y, mode="train", seed=0, h=1e-5):
     return worst
 
 
-# --- reference conv input gradient -----------------------------------------
+# --- reference window, pooling, BatchNorm and SGD kernels -------------------
+# The engine's kernels as they were before they dropped their window
+# copies, scatters and temporaries. The pooling, BatchNorm and SGD
+# kernels must match them bit for bit; the conv input gradient, whose
+# summation order changed, within 1e-13.
+
+def _reference_windows(x, k, stride, pad, fill=0.0):
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=fill)
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _scatter_windows(gwin, x_shape, stride, pad):
+    """Sums (N, C, k, k, Ho, Wo) window gradients back onto the
+    (N, C, H, W) input, one kernel offset at a time."""
+    n, c, h, w = x_shape
+    _, _, k, _, ho, wo = gwin.shape
+    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[:, :, i, j]
+    if pad:
+        gx = gx[:, :, pad:-pad, pad:-pad]
+    return gx
+
 
 def reference_conv_input_grad(grad, w, x_shape, stride, pad):
     """The Conv2D input gradient as the engine computed it before it
@@ -259,6 +287,77 @@ def reference_conv_input_grad(grad, w, x_shape, stride, pad):
     gwin = (w.reshape(cout, -1).T @ grad.reshape(n, cout, ho * wo)) \
         .reshape((n,) + w.shape[1:] + (ho, wo))
     return _scatter_windows(gwin, x_shape, stride, pad)
+
+
+def reference_maxpool(x, k, stride, pad):
+    """(output, argmax index) from a reshaped copy of every window."""
+    win = _reference_windows(x, k, stride, pad, fill=-np.inf)
+    win = win.reshape(win.shape[:4] + (k * k,))
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_maxpool_grad(grad, idx, x_shape, k, stride, pad):
+    n, c, ho, wo = grad.shape
+    gwin = np.zeros((n, c, k * k, ho, wo))
+    np.put_along_axis(gwin, idx[:, :, None], grad[:, :, None], axis=2)
+    return _scatter_windows(gwin.reshape(n, c, k, k, ho, wo), x_shape, stride, pad)
+
+
+def reference_avgpool(x, k, stride, pad):
+    win = _reference_windows(x, k, stride, pad)
+    return win.reshape(win.shape[:4] + (k * k,)).mean(axis=-1)
+
+
+def reference_avgpool_grad(grad, x_shape, k, stride, pad):
+    n, c, ho, wo = grad.shape
+    gwin = np.broadcast_to(grad[:, :, None, None] / (k * k), (n, c, k, k, ho, wo))
+    return _scatter_windows(gwin, x_shape, stride, pad)
+
+
+def reference_batchnorm(x, params, mode):
+    """(output, xhat, inv) with the default eps and momentum; in train
+    mode the running statistics in ``params`` are updated in place."""
+    eps, momentum = 1e-5, 0.1
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    count = x.size // x.shape[1]
+    if mode == "train":
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        unbiased = var * count / max(count - 1, 1)
+        params["mean"][:] = (1 - momentum) * params["mean"] + momentum * mean
+        params["var"][:] = (1 - momentum) * params["var"] + momentum * unbiased
+    else:
+        mean, var = params["mean"], params["var"]
+    shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+    return params["gamma"].reshape(shape) * xhat + params["beta"].reshape(shape), xhat, inv
+
+
+def reference_batchnorm_grad(grad, xhat, inv, gamma, mode):
+    """(input gradient, gamma gradient, beta gradient)."""
+    axes = (0,) if grad.ndim == 2 else (0, 2, 3)
+    shape = (1, -1) if grad.ndim == 2 else (1, -1, 1, 1)
+    ggamma = (grad * xhat).sum(axis=axes)
+    gbeta = grad.sum(axis=axes)
+    gxhat = grad * gamma.reshape(shape)
+    if mode == "train":
+        cnt = grad.size // grad.shape[1]
+        term = gxhat - gxhat.mean(axis=axes).reshape(shape) \
+            - xhat * (gxhat * xhat).sum(axis=axes).reshape(shape) / cnt
+        return term * inv.reshape(shape), ggamma, gbeta
+    return gxhat * inv.reshape(shape), ggamma, gbeta
+
+
+def reference_sgd_step(params, velocity, grads, lr, cfg):
+    """One momentum-SGD update of ``params`` and ``velocity`` (dicts
+    keyed alike) with the old expressions, in place."""
+    for key, vel in velocity.items():
+        grad = grads[key] + cfg.weight_decay * params[key]
+        vel *= cfg.momentum
+        vel += grad
+        params[key] -= lr * vel
 
 
 # --- reference planner ------------------------------------------------------

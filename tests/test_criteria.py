@@ -191,6 +191,27 @@ class TestScoreTable:
         assert np.all(n.scores["a"][2:] > 0)
         assert np.allclose(n.scores["b"], np.array([1.7, 1.0]) / np.hypot(1.7, 1.0))
 
+    def test_normalize_layer_l2_survives_tiny_scores(self):
+        # the squares underflow to zero (1e-200) or to subnormals that
+        # have lost digits (1e-160); both must normalize like the vector
+        # scaled up
+        ref = normalize_layer_l2(ScoreTable("weight", scores={
+            "a": np.array([1.0, 2.0]), "b": np.array([1.0, 3.0, 2.0])}))
+        t = ScoreTable("weight", scores={"a": np.array([1e-200, 2e-200]),
+                                         "b": np.array([1e-160, 3e-160, 2e-160])})
+        n = normalize_layer_l2(t)
+        for lid in ("a", "b"):
+            assert np.allclose(n.scores[lid], ref.scores[lid], rtol=1e-15, atol=0)
+        assert np.allclose(n.scores["a"], np.array([1.0, 2.0]) / np.sqrt(5.0))
+
+    def test_normalize_layer_l2_keeps_ordinary_bits(self):
+        # only overflowing or underflowing vectors take the rescaled path
+        vecs = {"a": np.array([3.0, 4.0, 1e-3]), "b": np.array([2e-154, 5e-154]),
+                "c": np.array([0.0, 7.5e100])}
+        n = normalize_layer_l2(ScoreTable("weight", scores=vecs))
+        for lid, vec in vecs.items():
+            assert np.array_equal(n.scores[lid], vec / np.linalg.norm(vec)), lid
+
 
 class TestComputeScores:
     def test_dispatch_covers_all_criteria_on_mlp(self):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from energyprune.engine import (DivergenceError, TrainConfig, _backward_node,
-                                _forward_node, backward, capture_activations,
-                                capture_points, cross_entropy, forward,
-                                init_params, logits_node, train)
+from energyprune.engine import (_PROB_FLOOR, DivergenceError, TrainConfig,
+                                _backprop, _backward_node, _forward_node,
+                                backward, capture_activations, capture_points,
+                                cross_entropy, forward, init_params,
+                                logits_node, train)
 from energyprune.graph import INPUT, LayerNode, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import evaluate
@@ -14,7 +15,10 @@ from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
                                   gen_blobs)
 from helpers import (KIND_CONFIGS, _bn, _conv, _dense, _finish, _op,
-                     fd_max_rel_err, reference_conv_input_grad)
+                     fd_max_rel_err, reference_avgpool, reference_avgpool_grad,
+                     reference_batchnorm, reference_batchnorm_grad,
+                     reference_conv_input_grad, reference_maxpool,
+                     reference_maxpool_grad, reference_sgd_step)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
@@ -87,6 +91,133 @@ def test_conv_input_gradient_matches_the_scatter_reference():
         assert gx.shape == x.shape
         assert np.max(np.abs(gx - ref)) <= 1e-13 * np.max(np.abs(ref)), \
             (k, stride, pad, c, cout)
+
+
+def _pool_input(rng, kind, shape):
+    if kind == "ties":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    x = rng.normal(size=shape)
+    if kind == "-inf":
+        x[rng.random(shape) < 0.3] = -np.inf
+    return x
+
+
+def test_pools_match_the_reference_bit_for_bit():
+    # every k, stride and pad <= k // 2 on non-square maps, with random,
+    # tied (integer-valued) and -inf inputs
+    cases = [(k, stride, pad, data) for k in (1, 2, 3) for stride in (1, 2, 3)
+             for pad in range(k // 2 + 1) for data in ("normal", "ties", "-inf")]
+    for i, (k, stride, pad, data) in enumerate(cases):
+        rng = make_rng(700 + i)
+        x = _pool_input(rng, data, (2, 3, 7, 5))
+        attrs = {"k": k, "stride": stride, "pad": pad}
+        for kind in ("MaxPool", "AvgPool"):
+            node = LayerNode("p", kind, attrs, {}, [INPUT])
+            cache: dict = {}
+            out = _forward_node(node, [x], "train", None, cache)
+            grad = rng.normal(size=out.shape)
+            (gx,) = _backward_node(node, grad, cache, {})
+            if kind == "MaxPool":
+                ref, idx = reference_maxpool(x, k, stride, pad)
+                ref_gx = reference_maxpool_grad(grad, idx, x.shape, k, stride, pad)
+            else:
+                ref = reference_avgpool(x, k, stride, pad)
+                ref_gx = reference_avgpool_grad(grad, x.shape, k, stride, pad)
+            case = (kind, k, stride, pad, data)
+            assert np.array_equal(out, ref), case
+            assert out.strides == ref.strides, case
+            assert np.array_equal(gx, ref_gx), case
+            assert gx.strides == ref_gx.strides, case
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("layout", ["dense", "nchw", "channel-last"])
+def test_batchnorm_matches_the_reference_bit_for_bit(mode, layout):
+    # a conv output reaches BatchNorm as a channel-last view, so the
+    # order of its reductions must not change with the layout either
+    rng = make_rng({"dense": 1, "nchw": 2, "channel-last": 3}[layout])
+    c = 4
+    if layout == "dense":
+        x = rng.normal(size=(9, c)) * 3 + 1
+    elif layout == "nchw":
+        x = rng.normal(size=(3, c, 5, 6)) * 3 + 1
+    else:
+        x = (rng.normal(size=(3, 5, 6, c)) * 3 + 1).transpose(0, 3, 1, 2)
+    params = {"gamma": rng.normal(size=c), "beta": rng.normal(size=c),
+              "mean": rng.normal(size=c), "var": rng.random(c) + 0.5}
+    node = LayerNode("bn", "BatchNorm", {"channels": c, "eps": 1e-5},
+                     {name: a.copy() for name, a in params.items()}, [INPUT])
+    cache: dict = {}
+    out = _forward_node(node, [x], mode, None, cache)
+    ref, xhat, inv = reference_batchnorm(x, params, mode)
+    assert np.array_equal(out, ref) and out.strides == ref.strides
+    for name in ("mean", "var"):
+        assert np.array_equal(node.params[name], params[name]), name
+    for grad in (rng.normal(size=out.shape), rng.normal(size=out.shape[::-1]).T):
+        pgrads: dict = {}
+        (gx,) = _backward_node(node, grad, cache, pgrads)
+        ref_gx, ggamma, gbeta = reference_batchnorm_grad(grad, xhat, inv,
+                                                         params["gamma"], mode)
+        assert np.array_equal(gx, ref_gx) and gx.strides == ref_gx.strides
+        assert np.array_equal(pgrads[("bn", "gamma")], ggamma)
+        assert np.array_equal(pgrads[("bn", "beta")], gbeta)
+
+
+def test_sgd_steps_match_the_reference_bit_for_bit(blobs):
+    # two steps of one epoch, so the second one reads a nonzero velocity;
+    # Dense and BatchNorm parameters are both updated
+    g = ModelGraph((2,))
+    _dense(g, "h", INPUT, 2, 6)
+    _bn(g, "bn", "h", 6)
+    _op(g, "r", "ReLU", "bn")
+    _dense(g, "out", "r", 6, 4)
+    init_params(g, 3)
+    x, y = blobs.train_x[:50], blobs.train_y[:50]
+    cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-2,
+                      schedule="constant", max_epochs=1, batch_size=25,
+                      seed=4, val_fraction=0.0)
+    trained, _ = train(g, (x, y), cfg)
+
+    ref = g.copy()
+    rng = make_rng(cfg.seed)
+    perm = rng.permutation(len(x))  # no validation split: all of it trains
+    x, y, order = x[perm], y[perm], rng.permutation(len(x))
+    params = {(nid, name): a for nid, name, a in ref.parameters()
+              if name not in ("mean", "var")}
+    velocity = {key: np.zeros_like(a) for key, a in params.items()}
+    for step, i in enumerate(range(0, len(x), cfg.batch_size)):
+        b = order[i:i + cfg.batch_size]
+        _, grads, _, _ = backward(ref, x[b], y[b], seed=cfg.seed + 1 + step)
+        reference_sgd_step(params, velocity, grads, cfg.lr, cfg)
+    for (n1, k1, a1), (n2, k2, a2) in zip(trained.parameters(), ref.parameters()):
+        assert (n1, k1) == (n2, k2)
+        assert np.array_equal(a1, a2), (n1, k1)
+
+
+def _confident_graph():
+    # logits 0, -600 and -700: softmax probabilities 1, ~3e-261, ~1e-304
+    g = ModelGraph((2,))
+    _dense(g, "h", INPUT, 2, 2)
+    _dense(g, "out", "h", 2, 3)
+    g.nodes["h"].params["w"] = np.eye(2)
+    g.nodes["h"].params["b"] = np.zeros(2)
+    g.nodes["out"].params["w"] = np.array([[0.0, 0.0], [-600.0, 0.0], [-700.0, 0.0]])
+    g.nodes["out"].params["b"] = np.zeros(3)
+    return g, np.array([[1.0, 0.0]]), np.array([0])
+
+
+def test_training_step_flushes_tiny_probabilities_but_scoring_does_not():
+    g, x, y = _confident_graph()
+    _, _, raw, _ = backward(g, x, y)
+    _, _, flushed, _ = _backprop(g, x, y, "train", 0, _PROB_FLOOR)
+    assert 0 < raw["out"][0, 2] < raw["out"][0, 1] < 1e-250
+    assert raw["h"][0, 0] < 0
+    assert flushed["out"][0, 1] == flushed["out"][0, 2] == 0.0
+    assert flushed["h"][0, 0] == 0.0
+    assert np.array_equal(raw["out"][:, 0], flushed["out"][:, 0])
+    _, grads = capture_activations(g, x, labels=y, want_grads=True)
+    assert [r.capture_id for r in grads] == ["h"]
+    assert np.array_equal(grads[0].values, raw["h"])
 
 
 def test_conv_reading_the_graph_input_gets_the_same_parameter_gradients():

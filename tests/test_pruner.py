@@ -155,6 +155,17 @@ class TestGlobal:
         removed = plan(g, scores, spec).removed_slots
         assert removed == {("fc1", ch) for ch in range(2, 8)}
 
+    def test_tiny_scores_plan_like_small_ones(self):
+        # the layer norm of 1e-200 scores once underflowed to zero, so fc1
+        # was left raw and lost six channels instead of fc2/fc3 losing three
+        g = build_toy_mlp(hidden=8, seed=0)
+        spec = PruningSpec(mode="global", threshold=0.25, criterion="weight")
+        plans = [plan(g, _mlp_scores(g, {"fc1": [tiny] * 8, "fc2": range(1, 9),
+                                         "fc3": range(1, 9)}), spec).removed_slots
+                 for tiny in (1e-100, 1e-200)]
+        assert plans[0] == plans[1] == {(lid, ch) for lid in ("fc2", "fc3")
+                                        for ch in range(3)}
+
     def test_never_empties_a_layer(self):
         g = build_toy_mlp(hidden=2, seed=0)
         scores = _mlp_scores(g, {"fc1": [0.0, 0.0], "fc2": [5.0, 6.0],
