@@ -36,10 +36,21 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        # written so that NaN fails every range test
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in [0, 1)")
+        if self.schedule not in ("cosine", "constant"):
+            raise ValueError("schedule must be cosine or constant")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

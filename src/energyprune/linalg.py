@@ -1,10 +1,13 @@
 """SVD and nuclear-norm kernels, all in float64.
 
 Every SVD and nuclear norm goes through one kernel, :func:`_jacobi`: a
-stack of tall matrices is reduced to its triangular QR factors, then
-one-sided Jacobi rotates all n/2 disjoint column pairs of every matrix
-at once per round-robin round (Brent & Luk 1985; QR preconditioning as
-in Drmač & Veselić 2008). A whole layer's channels are one stack.
+stack of tall matrices is reduced to triangular factors by two QR steps
+(a = Q R, then R^T = Q2 R2, Drmač & Veselić 2008), and one-sided Jacobi
+rotates all n/2 disjoint column pairs of every R2^T at once per
+round-robin round (Brent & Luk 1985). The rows of the working array
+are laid out so that each round's pairs sit in two halves, rotated in
+place, and one row permutation per round moves on to the next round's
+pairs. A whole layer's channels are one stack.
 """
 
 from __future__ import annotations
@@ -85,64 +88,92 @@ def _round_robin(n: int) -> tuple:
     return tuple(rounds)
 
 
+@lru_cache(maxsize=None)
+def _pair_layout(n: int) -> tuple:
+    """Row layouts that put each round-robin round's pairs in two halves.
+
+    Returns (order, perms, inverse): ``order`` is round 0's concat(p, q);
+    ``perms[r]`` takes rows laid out in round r's concat(p, q) to round
+    r + 1's (the last one back to round 0's), so ``x[:, perms[r]]``
+    moves to the next round; ``inverse`` undoes ``order``."""
+    orders = [np.concatenate(pq) for pq in _round_robin(n)]
+    perms = tuple(np.argsort(a)[b]
+                  for a, b in zip(orders, orders[1:] + orders[:1]))
+    return orders[0], perms, np.argsort(orders[0])
+
+
 def _jacobi(a: np.ndarray, want_v: bool):
     """One-sided Jacobi SVD of a (C, m, n) stack of tall (m >= n) matrices.
 
     Each matrix is scaled by a power of two to a largest entry in
     [0.5, 1) (as far as the exponent range allows) and reduced to
-    R = Q^T a (n x n), whose columns are rotated until mutually
-    orthogonal: R V = W. Returns (s, q, u, v): s (C, n) holds each
-    matrix's singular values, non-increasing, those at most SV_CLAMP_REL
-    of the largest set to 0. With ``want_v``, a = q @ u @ diag(s) @ v.T,
-    and u's columns for s = 0 are 0; else q, u and v are None. A matrix
-    stops changing once a sweep leaves every column pair below
-    JACOBI_TOL, so its result does not depend on the other matrices of
-    the stack.
+    a = Q R, R^T = Q2 R2 (both n x n). The columns of R2^T = R Q2 are
+    closer to orthogonal than R's, and are rotated until mutually
+    orthogonal in fewer sweeps: R2^T V = W. Returns (s, q, u, v): s
+    (C, n) holds each matrix's singular values, non-increasing, those at
+    most SV_CLAMP_REL of the largest set to 0. With ``want_v``,
+    a = q @ u @ diag(s) @ v.T with v = Q2 V, and u's columns for s = 0
+    are 0; else q, u and v are None. A matrix has converged, and stops
+    changing, once a sweep leaves every column pair of W below
+    JACOBI_TOL (or shorter than the floor below); the second QR changes
+    how many sweeps that takes, not the test. So a matrix's result does
+    not depend on the other matrices of the stack.
     """
     c, _, n = a.shape
     exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
     scale = np.ldexp(1.0, -np.clip(exponent, -1000, 1000))
     a = a * scale[:, None, None]
+    # a = Q R and R^T = Q2 R2, so a = Q R2^T Q2^T
     if want_v:
         q, r = np.linalg.qr(a)
+        q2, r = np.linalg.qr(r.transpose(0, 2, 1))
     else:
-        q, r = None, np.linalg.qr(a, mode="r")
+        q = None
+        r = np.linalg.qr(np.linalg.qr(a, mode="r").transpose(0, 2, 1),
+                         mode="r")
     # A column shorter than SV_CLAMP_REL * |a|_F moves no singular value
     # by more than that. Rotating it only chases rounding noise (R of a
     # matrix with repeated columns is graded down towards underflow), so
     # it is left alone.
     floor = SV_CLAMP_REL ** 2 * np.einsum("cij,cij->c", r, r)[:, None]
     n2 = n + n % 2  # an odd n gets one zero column, which never rotates
-    # column j of W is row j of ``cols``; V's column j follows it
+    h = n2 // 2
+    start, perms, restore = _pair_layout(n2)
+    # column j of W (row j of R2) is a row of ``cols``, V's column j
+    # follows it; the rows are kept in the current round's concat(p, q),
+    # so row k < h is paired with row k + h
     cols = np.zeros((c, n2, n + n2 if want_v else n))
-    cols[:, :n, :n] = r.transpose(0, 2, 1)
+    cols[:, :n, :n] = r
     if want_v:
         cols[:, :, n:] = np.eye(n2)
+    cols = cols[:, start]
     done = np.zeros(c, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):
         live = np.flatnonzero(~done)
         x, lo = cols[live], floor[live]
         rotated = np.zeros(live.size, dtype=bool)
-        for ip, iq in _round_robin(n2):
-            wp, wq = x[:, ip], x[:, iq]
-            rp, rq = wp[..., :n], wq[..., :n]  # W's rows; V's follow
-            app = np.einsum("ckr,ckr->ck", rp, rp)
-            aqq = np.einsum("ckr,ckr->ck", rq, rq)
-            apq = np.einsum("ckr,ckr->ck", rp, rq)
+        for perm in perms:
+            w = x[..., :n]  # W's rows; V's follow
+            norms = np.einsum("ckr,ckr->ck", w, w)
+            app, aqq = norms[:, :h], norms[:, h:]
+            apq = np.einsum("ckr,ckr->ck", w[:, :h], w[:, h:])
             rot = (np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq)) \
                 & (np.minimum(app, aqq) > lo)
-            if not rot.any():
-                continue
-            rotated |= rot.any(axis=1)
-            # inner rotation, |angle| <= pi/4; a pair below the tolerance
-            # gets t = 0, which is exactly c = 1, s = 0
-            zeta = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
-            t = np.where(rot, np.copysign(
-                1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
-            cs = 1.0 / np.hypot(1.0, t)[..., None]
-            sn = t[..., None] * cs
-            x[:, ip] = cs * wp - sn * wq
-            x[:, iq] = sn * wp + cs * wq
+            if rot.any():
+                rotated |= rot.any(axis=1)
+                # inner rotation, |angle| <= pi/4; a pair below the
+                # tolerance gets t = 0, which is exactly c = 1, s = 0
+                zeta = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
+                t = np.where(rot, np.copysign(
+                    1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
+                cs = 1.0 / np.hypot(1.0, t)[..., None]
+                sn = t[..., None] * cs
+                wp, wq = x[:, :h], x[:, h:]
+                newp = cs * wp - sn * wq
+                wq *= cs
+                wq += sn * wp
+                wp[...] = newp
+            x = x[:, perm]
         cols[live] = x
         done[live] = ~rotated
         if done.all():
@@ -151,6 +182,7 @@ def _jacobi(a: np.ndarray, want_v: bool):
         raise ConvergenceError(
             f"{np.count_nonzero(~done)} of {c} matrices unconverged after "
             f"{JACOBI_MAX_SWEEPS} Jacobi sweeps")
+    cols = cols[:, restore]
     w = cols[:, :n, :n].transpose(0, 2, 1)
     s = np.sqrt(np.einsum("cij,cij->cj", w, w))
     order = np.argsort(-s, axis=1, kind="stable")
@@ -159,8 +191,8 @@ def _jacobi(a: np.ndarray, want_v: bool):
     if not want_v:
         return s / scale[:, None], None, None, None
     w = np.take_along_axis(w, order[:, None, :], axis=2)
-    v = np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
-                           order[:, None, :], axis=2)
+    v = q2 @ np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
+                                order[:, None, :], axis=2)
     u = np.divide(w, s[:, None, :], out=np.zeros_like(w),
                   where=s[:, None, :] > 0)
     return s / scale[:, None], q, u, v

@@ -183,9 +183,13 @@ def load_dataset(path):
         parts = line.split(",")
         try:
             xs.append([float(v) for v in parts[:-1]])
-            ys.append(int(float(parts[-1])))
+            label = float(parts[-1])
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad row {line[:60]!r}") from exc
+        # a class index: inf, nan, 1.5 and values beyond intp are refused
+        if not label.is_integer() or abs(label) > np.iinfo(np.intp).max:
+            raise DataFormatError(f"{path}: bad label in row {line[:60]!r}")
+        ys.append(int(label))
     if not xs:
         raise DataFormatError(f"{path}: empty dataset")
     if any(len(row) != len(xs[0]) for row in xs):

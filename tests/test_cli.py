@@ -306,6 +306,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--model" in err and "--data" in err
 
+    @pytest.mark.parametrize("label", ["inf", "1e400", "1.5"])
+    def test_non_integer_label_is_data_error(self, workdir, tmp_path, label):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (workdir / "data" / "train.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + label
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(data), "--max-epochs", "1",
+                     "--out", str(tmp_path / "m.json")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("setting", ["lr=nan", "val_fraction=1.0",
+                                         "val_fraction=-0.5",
+                                         "schedule=bogus"])
+    def test_senseless_train_config_is_config_error(self, workdir, tmp_path,
+                                                    setting):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{setting}\nbatch_size=64\n")
+        argv = ["train", "--data", str(workdir / "data"), "--max-epochs", "1",
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        if setting == "lr=nan":
+            assert main(argv + ["--lr", "nan"]) == EXIT_CONFIG
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -435,3 +459,107 @@ def test_corrupted_score_table_never_raises(corruptible, score_lines, data):
                          "--scores", str(scores), *flags,
                          "--out", str(root / "pruned.json")]) \
                 in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+
+
+# --- corrupted datasets and config files -------------------------------------
+
+def _reading_commands(root, name, data, config=None):
+    """Every subcommand that reads a dataset or a config file, at the
+    smallest sizes."""
+    model = str(root / f"{name}.json")
+    arch = {"mlp": "toy-mlp", "cnn": "toy-cnn-residual"}[name]
+    train = ["--max-epochs", "1", "--out", str(root / "trained.json")]
+    if config:
+        train += ["--config", str(config)]
+    return (["train", "--data", str(data), "--arch", arch, *train],
+            ["finetune", "--model", model, "--data", str(data), *train],
+            ["score", "--model", model, "--data", str(data),
+             "--out", str(root / "scores.tsv")],
+            ["eval", "--model", model, "--data", str(data)],
+            ["stability", "--model", model, "--data", str(data),
+             "--sizes", "2,4"])
+
+
+ODD_FIELDS = ["nan", "inf", "-inf", "1e400", "1e300", "1.5", "2.0", "-1", "4",
+              "abc", "", " ", "0x1"]
+ODD_HEADERS = ["# shape=0", "# shape=", "# shape=-2", "# shape=2,2",
+               "# shape=1,1,2", "# shape=3,8,8", "# other", ""]
+
+
+def _damage(raw: bytes, how: str, data) -> bytes:
+    """raw cut short ("truncate") or with a non-UTF-8 byte ("bytes")."""
+    if how not in ("truncate", "bytes"):
+        return raw
+    at = data.draw(st.integers(0, len(raw) - 1))
+    return raw[:at] if how == "truncate" else raw[:at] + b"\xff" + raw[at:]
+
+
+def _corrupt_csv(raw: bytes, how: str, data) -> bytes:
+    header, *rows = raw.decode().splitlines()
+    i = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].split(",")
+    if how in ("relabel", "refeature"):
+        fields[-1 if how == "relabel" else 0] = \
+            data.draw(st.sampled_from(ODD_FIELDS))
+    elif how == "drop-field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif how == "add-field":
+        fields.insert(data.draw(st.integers(0, len(fields))), "0")
+    rows[i] = ",".join(fields)
+    if how == "drop-rows":
+        rows = rows[:i]
+    elif how == "header":
+        header = data.draw(st.sampled_from(ODD_HEADERS))
+    return _damage(("\n".join([header] + rows) + "\n").encode(), how, data)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrupted_dataset_never_raises(corruptible, data):
+    root, cases = corruptible
+    name = data.draw(st.sampled_from(sorted(cases)))
+    how = data.draw(st.sampled_from(["relabel", "refeature", "drop-field",
+                                     "add-field", "drop-rows", "header",
+                                     "truncate", "bytes"]))
+    corrupted = root / "corrupted-data"
+    corrupted.mkdir(exist_ok=True)
+    for split in ("train", "test"):  # eval reads test, the rest train
+        raw = (cases[name][2] / f"{split}.csv").read_bytes()
+        (corrupted / f"{split}.csv").write_bytes(_corrupt_csv(raw, how, data))
+    with np.errstate(all="ignore"):
+        for argv in _reading_commands(root, name, corrupted):
+            assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+
+
+TRAIN_CONFIG = {"lr": "0.02", "momentum": "0.9", "weight_decay": "5e-4",
+                "schedule": "constant", "max_epochs": "1", "patience": "1",
+                "batch_size": "64", "seed": "0", "val_fraction": "0.25"}
+ODD_SETTINGS = ["nan", "inf", "-inf", "1e400", "-1", "0", "1", "1.5", "-0.5",
+                "1.0", "abc", "", "bogus", "cosine"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrupted_config_never_raises(corruptible, data):
+    root, cases = corruptible
+    name = data.draw(st.sampled_from(sorted(cases)))
+    lines = [f"{k}={v}" for k, v in TRAIN_CONFIG.items()]
+    how = data.draw(st.sampled_from(["revalue", "no-equals", "duplicate",
+                                     "truncate", "bytes"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if how == "revalue":
+        lines[i] = lines[i].split("=")[0] + "=" + \
+            data.draw(st.sampled_from(ODD_SETTINGS))
+    elif how == "no-equals":
+        lines[i] = lines[i].replace("=", " ")
+    elif how == "duplicate":
+        lines.append(lines[i].split("=")[0] + "=" +
+                     data.draw(st.sampled_from(ODD_SETTINGS)))
+    config = root / "corrupted.cfg"
+    config.write_bytes(_damage(("\n".join(lines) + "\n").encode(), how, data))
+    with np.errstate(all="ignore"):
+        # train and finetune are the commands that read a config
+        for argv in _reading_commands(root, name, cases[name][2], config)[:2]:
+            assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)

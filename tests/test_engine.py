@@ -499,6 +499,14 @@ class TestTraining:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(weight_decay=-1.0),
+                    dict(weight_decay=np.nan), dict(val_fraction=1.0),
+                    dict(val_fraction=-0.5), dict(schedule="bogus"),
+                    dict(max_epochs=0), dict(patience=-1)):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        TrainConfig(lr=0.0, weight_decay=0.0, val_fraction=0.0, patience=0,
+                    max_epochs=1, schedule="constant")
 
     def test_empty_dataset_rejected(self):
         g = build_toy_mlp(hidden=4)

@@ -24,7 +24,8 @@ def _ortho_err(q):
 
 class TestSvd:
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (8, 8),
-                                       (1, 7), (7, 1), (20, 4)])
+                                       (1, 7), (7, 1), (20, 4), (9, 7),
+                                       (7, 9), (33, 17)])
     def test_reconstruction_and_factors(self, shape):
         a = make_rng(shape[0] * 100 + shape[1]).normal(size=shape)
         res = svd(a)
@@ -89,6 +90,45 @@ class TestJacobiKernel:
         assert sorted(seen) == [(p, q) for p in range(n)
                                 for q in range(p + 1, n)]
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 16])
+    def test_pair_layout_walks_the_rounds_in_a_cycle(self, n):
+        order, perms, inverse = linalg._pair_layout(n)
+        rounds = [np.concatenate(pq) for pq in linalg._round_robin(n)]
+        assert len(perms) == len(rounds) == n - 1
+        assert np.array_equal(order, rounds[0])
+        at = order
+        for r, perm in enumerate(perms):
+            assert np.array_equal(at, rounds[r])
+            at = at[perm]
+        assert np.array_equal(at, rounds[0])  # back to round 0
+        assert np.array_equal(order[inverse], np.arange(n))
+
+    def test_graded_stack_converges_in_few_sweeps(self, monkeypatch):
+        # column scales 1 .. 1e-12: the second QR orders and nearly
+        # orthogonalizes the columns, so 4 sweeps do (8 on R's columns)
+        stack = make_rng(1).normal(size=(4, 32, 32)) \
+            * np.logspace(0, -12, 32)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 5)
+        nuc = nuclear_norms(stack)
+        for a, nn in zip(stack, nuc):
+            res = svd(a)
+            ref = oracle_singular_values(a)
+            assert np.max(np.abs(res.s - ref)) / ref[0] < 1e-10
+            assert nn == pytest.approx(ref.sum(), rel=1e-10)
+            assert np.max(np.abs(res.reconstruct() - a)) \
+                / np.linalg.norm(a) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(9, 7), (7, 9), (33, 17), (17, 33)])
+    def test_factors_of_graded_shapes(self, shape):
+        a = make_rng(shape[0] * 100 + shape[1]).normal(size=shape) \
+            * np.logspace(0, -9, shape[1])
+        res = svd(a)
+        scale = max(np.linalg.norm(a), 1.0)
+        assert np.all(np.diff(res.s) <= 0)
+        assert np.max(np.abs(res.reconstruct() - a)) / scale < 1e-10
+        assert _ortho_err(res.u) < 1e-10
+        assert _ortho_err(res.v) < 1e-10
+
     def test_nonconvergence_is_reported(self, monkeypatch):
         a = make_rng(16).normal(size=(16, 16))
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
@@ -117,7 +157,10 @@ class TestJacobiKernel:
             nuclear_norm(a), rel=1e-12)
 
     def test_stack_matches_one_matrix_at_a_time(self):
+        # graded, random, zero and repeated-column matrices, odd n after
+        # the transpose: each converges after its own number of sweeps
         stack = make_rng(4).normal(size=(6, 5, 9))
+        stack[0] *= np.logspace(0, -10, 5)[:, None]
         stack[2] = 0.0
         stack[4, :, 1:] = stack[4, :, :1]
         full = nuclear_norms(stack)

@@ -160,6 +160,16 @@ class TestDatasetRoundtrip:
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e400", "1.5",
+                                       "1e300"])
+    def test_labels_must_be_integers(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"# shape=2\n1.0,2.0,{label}\n")
+        with pytest.raises(DataFormatError, match="label"):
+            load_dataset(path)
+        path.write_text("# shape=2\n1.0,2.0,2\n1.0,2.0,2.0\n")
+        assert load_dataset(path)[1].tolist() == [2, 2]
+
     @pytest.mark.parametrize("text", [
         "# shape=abc\n1.0,2.0,0\n", "# shape=\n1.0,2.0,0\n",
         "# shape=3\n1.0,2.0,0\n3.0,4.0,1\n", "# shape=-1\n1.0,2.0,0\n",
