@@ -12,7 +12,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .criteria import CRITERIA, compute_scores
-from .engine import DivergenceError, TrainConfig, init_params, train
+from .engine import (DivergenceError, LabelError, TrainConfig, init_params,
+                     train)
 from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, LabelError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, FloatingPointError, ConvergenceError,

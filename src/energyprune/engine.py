@@ -23,6 +23,10 @@ class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
+class LabelError(ValueError):
+    """A label is not a class index of the model: a data error."""
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.01
@@ -378,11 +382,18 @@ def _softmax(x: np.ndarray):
     return z, total, e / total
 
 
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    """Every label is a class index of a model with ``classes`` outputs."""
+    if labels.min() < 0 or labels.max() >= classes:
+        raise LabelError(f"label out of range: the labels span "
+                         f"{labels.min()}..{labels.max()}, the model has "
+                         f"{classes} classes")
+
+
 def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and the softmax probabilities."""
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label out of range")
+    _check_labels(labels, logits.shape[1])
     z, total, probs = _softmax(logits)
     loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(len(labels)), labels]))
     return loss, probs
@@ -540,6 +551,8 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     x, y = dataset
     if len(x) == 0:
         raise ValueError("empty dataset")
+    # the validation split never reaches the loss, so check it here too
+    _check_labels(y, infer_shapes(g)[logits_node(g)][0])
     rng = make_rng(cfg.seed)
     perm = rng.permutation(len(x))
     n_val = int(round(cfg.val_fraction * len(x)))

@@ -5,15 +5,19 @@ in a sidecar ``.bin`` blob, each serialized as u32 rank, u32 extents,
 then row-major little-endian float32. Saving is deterministic, so
 save(load(save(g))) is byte-identical. All math runs in float64; float32
 appears only in the blob.
+
+Both directions stream: ``save_model`` writes each tensor's header and
+float32 payload straight into the open blob file, so it holds at most one
+tensor's float32 copy; ``load_model`` reads the blob once and decodes
+every tensor from that buffer at its manifest offset, so beside the
+float64 tensors it returns it holds one copy of the blob.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,26 +41,34 @@ def _read_text(path: Path, what: str) -> str:
 # --- tensor blob: little-endian u32 rank, u32 extent per axis, then the
 # row-major IEEE-754 float32 payload
 
-def write_blob(fh, a: np.ndarray) -> None:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    fh.write(struct.pack("<I", a.ndim))
-    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-    fh.write(a.astype("<f4").tobytes())
+def write_blob(fh, a: np.ndarray) -> int:
+    """Writes a to the binary file fh; returns the bytes written."""
+    a = np.ascontiguousarray(a, dtype="<f4")
+    return fh.write(struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape)) \
+        + fh.write(a)
 
 
-def read_blob(fh) -> np.ndarray:
-    """The next tensor of fh; a blob cut short is a data error."""
-    def take(size: int) -> bytes:
-        raw = fh.read(min(size, sys.maxsize))  # a corrupt header may ask more
-        if len(raw) != size:
+def read_blob(buf, offset) -> np.ndarray:
+    """The tensor at byte offset of buf, as float64. A bad offset or a
+    blob cut short is a data error, found before anything is allocated."""
+    if type(offset) is not int or offset < 0:
+        raise DataFormatError(f"tensor offset {offset!r} is not a byte offset")
+
+    def need(end: int) -> None:
+        if end > len(buf):  # a corrupt header may ask for more than exists
             raise DataFormatError(
-                f"tensor blob truncated: needed {size} bytes, found {len(raw)}")
-        return raw
+                f"tensor blob truncated: the tensor at byte {offset} runs to "
+                f"byte {end}, the blob has {len(buf)}")
 
-    (rank,) = struct.unpack("<I", take(4))
-    shape = struct.unpack(f"<{rank}I", take(4 * rank))
-    data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
-    return data.astype(np.float64).reshape(shape)
+    need(offset + 4)
+    (rank,) = struct.unpack_from("<I", buf, offset)
+    start = offset + 4 + 4 * rank
+    need(start)
+    shape = struct.unpack_from(f"<{rank}I", buf, offset + 4)
+    count = math.prod(shape)
+    need(start + 4 * count)
+    return np.frombuffer(buf, "<f4", count, start).astype(np.float64) \
+        .reshape(shape)
 
 
 def _blob_path(path: Path) -> Path:
@@ -66,10 +78,11 @@ def _blob_path(path: Path) -> Path:
 def save_model(g: ModelGraph, path) -> None:
     path = Path(path)
     index = []
-    buf = io.BytesIO()
-    for nid, name, arr in g.parameters():
-        index.append({"node": nid, "name": name, "offset": buf.tell()})
-        write_blob(buf, arr)
+    offset = 0
+    with _blob_path(path).open("wb") as fh:
+        for nid, name, arr in g.parameters():
+            index.append({"node": nid, "name": name, "offset": offset})
+            offset += write_blob(fh, arr)
     manifest = {
         "format": "energyprune-model-v1",
         "input_shape": list(g.input_shape),
@@ -81,7 +94,6 @@ def save_model(g: ModelGraph, path) -> None:
         "tensors": index,
     }
     path.write_text(json.dumps(manifest, indent=1) + "\n")
-    _blob_path(path).write_bytes(buf.getvalue())
 
 
 # attrs the engine reads, with their least valid value: an int bound
@@ -131,7 +143,7 @@ def load_model(path) -> ModelGraph:
     if not isinstance(manifest, dict) \
             or manifest.get("format") != "energyprune-model-v1":
         raise DataFormatError(f"{path}: not an energyprune model manifest")
-    fh = io.BytesIO(_blob_path(path).read_bytes())
+    blob = _blob_path(path).read_bytes()
     try:
         if not all(type(d) is int and d >= 1 for d in manifest["input_shape"]):
             raise DataFormatError("input shape is not positive integers")
@@ -141,8 +153,8 @@ def load_model(path) -> ModelGraph:
                             {}, list(spec["inputs"])))
         g.set_output(manifest["output"])
         for entry in manifest["tensors"]:
-            fh.seek(entry["offset"])
-            g.nodes[entry["node"]].params[entry["name"]] = read_blob(fh)
+            g.nodes[entry["node"]].params[entry["name"]] = \
+                read_blob(blob, entry["offset"])
         for node in g.nodes.values():
             _check_node(node)
         infer_shapes(g)
@@ -236,7 +248,13 @@ def read_tsv(path):
     if not lines:
         raise DataFormatError(f"{path}: empty report")
     header = lines[0].split("\t")
-    rows = [line.split("\t") for line in lines[1:] if line]
+    rows = []
+    for i, line in enumerate(lines[1:], 2):
+        if line:
+            rows.append(line.split("\t"))
+            if len(rows[-1]) != len(header):
+                raise DataFormatError(f"{path}:{i}: {len(rows[-1])} fields, "
+                                      f"the header has {len(header)}")
     return header, rows
 
 

@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from energyprune.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                              _build_arch, main)
-from energyprune.criteria import compute_scores
+from energyprune.criteria import CRITERIA, compute_scores
+from energyprune.experiments import TOY_REPORT_HEADER, toy_experiment_report
 from energyprune.modelio import (SCORE_HEADER, load_dataset, load_model,
                                  read_tsv, save_dataset, save_model,
-                                 score_table_rows)
+                                 score_table_rows, write_tsv)
 from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp)
 
@@ -316,6 +317,26 @@ class TestExitCodes:
         assert main(["train", "--data", str(data), "--max-epochs", "1",
                      "--out", str(tmp_path / "m.json")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("label", ["4", "-1"])
+    def test_label_out_of_range_is_data_error(self, workdir, tmp_path, capsys,
+                                              label):
+        # the blobs have 4 classes, and so has the toy MLP
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (workdir / "data" / "train.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + label
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(data), "--max-epochs", "1",
+                     "--out", str(tmp_path / "m.json")]) == EXIT_DATA
+        assert "label out of range" in capsys.readouterr().err
+
+    def test_ragged_report_is_data_error(self, tmp_path, capsys):
+        # a row shorter than its header once died in format_table (exit 1)
+        report = tmp_path / "r.tsv"
+        report.write_text("a\tb\tc\n1\t2\t3\n4\t5\n")
+        assert main(["report", str(report)]) == EXIT_DATA
+        assert "r.tsv:3: 2 fields" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", ["lr=nan", "val_fraction=1.0",
                                          "val_fraction=-0.5",
                                          "schedule=bogus"])
@@ -563,3 +584,53 @@ def test_corrupted_config_never_raises(corruptible, data):
         # train and finetune are the commands that read a config
         for argv in _reading_commands(root, name, cases[name][2], config)[:2]:
             assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+
+
+# --- corrupted reports --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def report_lines(corruptible, score_lines):
+    """The lines of each kind of TSV that report reads: a score table, a
+    prune plan and a toy-experiment report."""
+    root, _ = corruptible
+    scores = root / "cnn-scores.tsv"
+    scores.write_text("\n".join(score_lines["cnn"]) + "\n")
+    plan = root / "cnn-plan.tsv"
+    assert main(["prune", "--model", str(root / "cnn.json"),
+                 "--scores", str(scores), "--mode", "per-layer",
+                 "--ratio", "0.5", "--plan", str(plan),
+                 "--out", str(root / "cnn-pruned.json")]) == 0
+    toy = root / "toy-report.tsv"
+    write_tsv(toy, TOY_REPORT_HEADER, toy_experiment_report(
+        {"rows": [(c, 0.9, 0.01, 1000, 5000) for c in CRITERIA]}))
+    return {name: path.read_text().splitlines()
+            for name, path in (("scores", scores), ("plan", plan),
+                               ("toy-report", toy))}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrupted_report_never_raises(corruptible, report_lines, data):
+    root, _ = corruptible
+    header, *rows = report_lines[data.draw(st.sampled_from(sorted(report_lines)))]
+    how = data.draw(st.sampled_from(["drop-field", "add-field", "drop-rows",
+                                     "header", "truncate", "bytes"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    fields = rows[i].split("\t")
+    if how == "drop-field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif how == "add-field":
+        fields.insert(data.draw(st.integers(0, len(fields))), "0")
+    rows[i] = "\t".join(fields)
+    if how == "drop-rows":
+        rows = rows[:i]
+    elif how == "header":
+        header = data.draw(st.sampled_from(["", "layer", header + "\textra"]))
+    report = root / "corrupted-report.tsv"
+    report.write_bytes(_damage(("\n".join([header] + rows) + "\n").encode(),
+                               how, data))
+    code = main(["report", str(report)])
+    assert code in (0, EXIT_DATA)
+    if how in ("drop-field", "add-field", "header"):
+        assert code == EXIT_DATA

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from energyprune.engine import (_PROB_FLOOR, DivergenceError, TrainConfig,
-                                _backprop, _backward_node, _forward_node,
+from energyprune.engine import (_PROB_FLOOR, DivergenceError, LabelError,
+                                TrainConfig, _backprop, _backward_node, _forward_node,
                                 backward, capture_activations, capture_points,
                                 cross_entropy, forward, init_params,
                                 logits_node, train)
@@ -507,6 +507,15 @@ class TestTraining:
                 TrainConfig(**bad)
         TrainConfig(lr=0.0, weight_decay=0.0, val_fraction=0.0, patience=0,
                     max_epochs=1, schedule="constant")
+
+    def test_label_out_of_range_in_the_validation_split(self, blobs):
+        # the validation split only meets evaluate, which would count the
+        # label as a miss instead of refusing it
+        x, y = blobs.train_x[:40], blobs.train_y[:40].copy()
+        cfg = TrainConfig(max_epochs=1, batch_size=32, seed=0)
+        y[make_rng(cfg.seed).permutation(len(x))[0]] = 4
+        with pytest.raises(LabelError, match="out of range"):
+            train(build_toy_mlp(hidden=4), (x, y), cfg)
 
     def test_empty_dataset_rejected(self):
         g = build_toy_mlp(hidden=4)

@@ -1,20 +1,24 @@
 """File formats: model manifest + blob, datasets, configs, reports."""
 
-import io
+import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from energyprune.criteria import ScoreTable
+from energyprune.engine import init_params
+from energyprune.graph import INPUT, LayerNode, ModelGraph
 from energyprune.modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                                  format_table, load_config, load_dataset,
                                  load_model, plan_rows, read_blob, read_tsv,
                                  save_dataset, save_model, score_table_rows,
                                  write_tsv)
 from energyprune.linalg import make_rng
-from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_inception,
+from energyprune.toybench import (ToyDatasetSpec, build_reference_arch,
+                                  build_toy_cnn_inception,
                                   build_toy_cnn_residual, build_toy_mlp,
                                   gen_blobs)
 
@@ -78,10 +82,55 @@ class TestModelRoundtrip:
             with pytest.raises(DataFormatError, match="truncated"):
                 load_model(path)
 
+    def test_parameterless_graph_has_an_empty_blob(self, tmp_path):
+        g = ModelGraph((3,))
+        g.add(LayerNode("act", "ReLU", {}, {}, [INPUT]))
+        g.add(LayerNode("prob", "Softmax", {}, {}, ["act"]))
+        g.set_output("prob")
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(g, p1)
+        assert (tmp_path / "a.json.bin").read_bytes() == b""
+        assert json.loads(p1.read_text())["tensors"] == []
+        back = load_model(p1)
+        assert list(back.nodes) == ["act", "prob"]
+        save_model(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert (tmp_path / "b.json.bin").read_bytes() == b""
+
     def test_blob_header_larger_than_any_read(self):
         header = struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
         with pytest.raises(DataFormatError, match="truncated"):
-            read_blob(io.BytesIO(header))
+            read_blob(header, 0)
+
+    @pytest.mark.parametrize("fault", [
+        "negative-offset", "offset-past-end", "huge-offset", "true-offset",
+        "float-offset", "huge-extents", "huge-rank"])
+    def test_corrupt_index_fails_before_any_allocation(self, tmp_path, fault):
+        path = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), path)
+        manifest = json.loads(path.read_text())
+        blob = tmp_path / "m.json.bin"
+        raw = blob.read_bytes()
+        entry = manifest["tensors"][0]  # fc1.w, of rank 2
+        if fault.endswith("offset"):
+            entry["offset"] = {"negative-offset": -1,
+                               "offset-past-end": len(raw) + 8,
+                               "huge-offset": 2**62, "true-offset": True,
+                               "float-offset": 0.0}[fault]
+        elif fault == "huge-extents":
+            blob.write_bytes(struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
+                             + raw[12:])
+        else:
+            blob.write_bytes(struct.pack("<I", 2**32 - 1) + raw[4:])
+        path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="tensor"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("key", ["input_shape", "nodes", "output",
                                      "tensors"])
@@ -128,6 +177,63 @@ class TestModelRoundtrip:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError, match="tensor"):
             load_model(path)
+
+
+# sha256 of the manifest and of the blob, as this format has written them
+# since it was pinned; any change to the bytes on disk fails here
+GOLDEN = {
+    "toy-cnn-residual": (
+        "d799eac05183a19c304cdd2864c527205a37a144946bc6379f4a2d7c41fcca2f",
+        "0cada95d23f3cc159778298adbd74aa62a891d3bf72478174f4a5cfb3666e6c4"),
+    "resnet56": (
+        "3f8769d4b532898d5525db0e1a2771254859c0f5e5cb2bc22b644282dad6bce8",
+        "5bb4a3fe51c961395258c100acf6dfc22162cadd3bab3bc4756b63bd34a0b1b4"),
+}
+
+
+def _golden_model(name):
+    if name == "resnet56":
+        return init_params(build_reference_arch("resnet56"), 0)
+    return build_toy_cnn_residual(seed=3)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_model_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / "m.json"
+    save_model(_golden_model(name), path)
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (path, tmp_path / "m.json.bin")) == GOLDEN[name]
+
+
+def _traced(fn):
+    """fn's result, the bytes it left allocated, and its peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestModelMemory:
+    @pytest.fixture(scope="class")
+    def resnet56(self):
+        return _golden_model("resnet56")
+
+    def test_save_holds_no_copy_of_the_blob(self, tmp_path, resnet56):
+        # a whole-blob buffer peaked at 1.24x the blob size here
+        path = tmp_path / "m.json"
+        _, _, peak = _traced(lambda: save_model(resnet56, path))
+        assert peak < 0.5 * (tmp_path / "m.json.bin").stat().st_size
+
+    def test_load_holds_the_model_and_one_blob(self, tmp_path, resnet56):
+        path = tmp_path / "m.json"
+        save_model(resnet56, path)
+        size = (tmp_path / "m.json.bin").stat().st_size
+        g, held, peak = _traced(lambda: load_model(path))
+        assert held >= sum(a.nbytes for _, _, a in g.parameters())
+        assert peak - held < 1.1 * size
 
 
 class TestDatasetRoundtrip:
@@ -209,6 +315,15 @@ class TestReports:
         h, r = read_tsv(path)
         assert h == ["a", "b"]
         assert r == [["1", "x"], ["2.5", "y"]]
+
+    @pytest.mark.parametrize("row", ["1", "1\tx\textra"],
+                             ids=["short", "long"])
+    def test_ragged_tsv(self, tmp_path, row):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"a\tb\n1\tx\n\n{row}\n")
+        with pytest.raises(DataFormatError, match=r"r.tsv:4: \d fields, "
+                                                  r"the header has 2"):
+            read_tsv(path)
 
     def test_empty_tsv(self, tmp_path):
         path = tmp_path / "r.tsv"
