@@ -58,18 +58,27 @@ def _nuclear_channel_scores(rec: ActivationRecord) -> np.ndarray:
     return nuclear_norms(stack)
 
 
-def score_nuclear(records: list[ActivationRecord], seed: int = 0) -> ScoreTable:
+def score_nuclear(records, seed: int = 0) -> ScoreTable:
     """Energy scores: per channel, nuclear norm of the N x (h*w) matrix
-    stacking its map from every sample."""
-    if not records:
-        raise ValueError("no activation records")
-    table = ScoreTable(criterion="nuclear", seed=seed,
-                       n_samples=records[0].n_samples)
+    stacking its map from every sample. ``records`` is any iterable of
+    ActivationRecords, scored one at a time in order."""
+    table = ScoreTable(criterion="nuclear", seed=seed)
     for rec in records:
         if rec.n_samples < 1:
             raise ValueError(f"empty record for {rec.layer_id!r}")
+        table.n_samples = rec.n_samples
         table.scores[rec.layer_id] = _nuclear_channel_scores(rec)
+    if not table.scores:
+        raise ValueError("no activation records")
     return table.validate()
+
+
+def _drain(items: list):
+    """Yields the items of a list front to back, removing each from the
+    list, so an item is freed once its consumer moves on."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def score_weight(g: ModelGraph) -> ScoreTable:
@@ -141,8 +150,10 @@ def lrp_relevances(g: ModelGraph, samples: np.ndarray) -> dict:
     Relevance starts at the winning logit and flows backward with
     z-denominators stabilized by eps * sign(z)."""
     chain = _dense_chain(g)
-    fwd = forward(g, samples, mode="eval")
     lid = logits_node(g)
+    dense = [node for node in chain if node.kind == "Dense"]
+    fwd = forward(g, samples, mode="eval",
+                  keep=[lid] + [n.id for n in dense] + [n.inputs[0] for n in dense])
     logits = fwd.activations[lid]
     n = samples.shape[0]
     rel = np.zeros_like(logits)
@@ -199,8 +210,10 @@ def compute_scores(g: ModelGraph, criterion: str, samples: np.ndarray,
                    labels: np.ndarray | None = None, seed: int = 0) -> ScoreTable:
     """Dispatch: capture whatever the criterion needs and score."""
     if criterion == "nuclear":
+        # each layer's record is released once it is scored; at paper
+        # scale the records are most of the memory
         records = capture_activations(g, samples, seed=seed)
-        return score_nuclear(records, seed=seed)
+        return score_nuclear(_drain(records), seed=seed)
     if criterion == "weight":
         return score_weight(g)
     if criterion in ("gradient", "taylor"):

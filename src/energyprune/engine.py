@@ -5,6 +5,19 @@ Activations carry a leading batch axis: (N, C, H, W) for feature maps,
 deterministic given the seed (Dropout masks come from the seeded PCG64
 stream); eval mode turns Dropout into identity and makes BatchNorm use
 its running statistics.
+
+Memory. ``forward`` keeps every node's activation unless the caller names
+the ones it reads with ``keep``; then each other activation is dropped as
+soon as its last consumer has run, and only the kept nodes and the output
+are returned. Each caller in the package names what it reads: the
+training step and ``metrics.evaluate`` the logits, ``backward`` the
+capture points and the logits, LRP the Dense layers and their inputs.
+Backward reads only the per-node caches, which hold what each node's
+gradient needs (a Dense layer's input by reference, a conv's im2col
+columns), never the activation dict. ``capture_activations`` runs its
+samples in chunks of ``CAPTURE_CHUNK`` and copies each chunk's capture
+points into the whole set's arrays, so the memory beyond those arrays
+does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -210,22 +223,42 @@ def _forward_node(node, xs, mode, rng, cache):
 
 
 def _conv_input_grad(grad, w, x_shape, stride, pad):
-    """Conv2D input gradient as a stride-1 forward convolution: ``grad``
-    is zero-inserted (every ``stride``-th row and column) and padded by
-    k - 1, and its k x k windows at the H x W input positions meet the
-    flipped, transposed kernel in one channel-first im2col GEMM."""
+    """Conv2D input gradient with no products of inserted zeros. Padded
+    input row ``stride * a + i`` gets output row a's gradient through
+    kernel row i, so the input rows of one residue class mod ``stride``
+    meet only the kernel rows of that class. Per class of rows and
+    columns, the gradient (padded by the class's taps less one) meets
+    the class's flipped, transposed taps in a stride-1 channel-first
+    im2col GEMM. Stride 1 is the one class with every tap."""
     n, cout, ho, wo = grad.shape
     _, c, h, wd = x_shape
     k = w.shape[2]
-    # the window of output row i starts at row stride * i of the padded
-    # input; here that row sits at k - 1 + stride * i
-    dil = np.zeros((n, cout, h + 2 * pad + k - 1, wd + 2 * pad + k - 1))
-    dil[:, :, k - 1:k - 1 + stride * ho:stride,
-        k - 1:k - 1 + stride * wo:stride] = grad
-    win = _windows(dil, k, 1, 0)[:, :, pad:pad + h, pad:pad + wd]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, cout * k * k, h * wd)
-    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    return (wf @ cols).reshape(n, c, h, wd)
+    t = -(-k // stride)  # the most taps a class has along one axis
+    # the output rows and columns that reach the input, padded by t - 1
+    # before and as far as the last window reaches after
+    r, q = (pad + h - 1) // stride + 1, (pad + wd - 1) // stride + 1
+    gp = np.zeros((n, cout, t - 1 + r, t - 1 + q))
+    gp[:, :, t - 1:t - 1 + ho, t - 1:t - 1 + wo] = grad[:, :, :r, :q]
+    gx = None if stride == 1 else np.zeros((n, c, h, wd))
+    for ry in range(stride):
+        for rx in range(stride):
+            taps = w[:, :, ry::stride, rx::stride]
+            kh, kw = taps.shape[2:]
+            # the class's first input row is padded row ry + stride * u0
+            u0, v0 = -((ry - pad) // stride), -((rx - pad) // stride)
+            y0, x0 = ry + stride * u0 - pad, rx + stride * v0 - pad
+            nu, nv = len(range(y0, h, stride)), len(range(x0, wd, stride))
+            if not (kh and kw and nu and nv):
+                continue  # no taps (stride > k) or no rows: zero
+            win = sliding_window_view(gp, (kh, kw), axis=(2, 3))[
+                :, :, t - kh + u0:t - kh + u0 + nu, t - kw + v0:t - kw + v0 + nv]
+            cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, cout * kh * kw, nu * nv)
+            wf = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            part = (wf @ cols).reshape(n, c, nu, nv)
+            if gx is None:
+                return part  # stride 1: the one class is the whole input
+            gx[:, :, y0::stride, x0::stride] = part
+    return gx
 
 
 def _backward_node(node, grad, cache, param_grads, input_grad=True):
@@ -336,10 +369,17 @@ def _mask_vectors(g: ModelGraph, masks: dict) -> dict:
 
 
 def forward(g: ModelGraph, x: np.ndarray, mode: str = "eval", seed: int = 0,
-            masks: dict | None = None, keep_caches: bool = False) -> ForwardPass:
+            masks: dict | None = None, keep_caches: bool = False,
+            keep=None) -> ForwardPass:
     """Run the graph on a batch. ``masks`` (per-producer 0/1 channel
     vectors) are applied at conv/dense outputs and again at the
-    downstream BatchNorm output, which is where scores are computed."""
+    downstream BatchNorm output, which is where scores are computed.
+
+    ``keep`` names the nodes whose activations the caller reads. By
+    default every activation is kept. With a ``keep`` set, the other
+    activations are dropped once their last consumer has run, and
+    ``activations`` holds only the kept nodes and the output. The
+    ``keep_caches`` caches are unaffected: backward reads only those."""
     x = np.asarray(x, dtype=np.float64)
     expect = (x.shape[0],) + g.input_shape
     if x.shape != expect:
@@ -348,6 +388,7 @@ def forward(g: ModelGraph, x: np.ndarray, mode: str = "eval", seed: int = 0,
     mask_vecs = _mask_vectors(g, masks) if masks else {}
     acts: dict = {}
     caches: dict = {}
+    frees = {} if keep is None else _last_reads(g, set(keep) | {g.output_id})
 
     def fetch(src):
         return x if src == INPUT else acts[src]
@@ -362,8 +403,25 @@ def forward(g: ModelGraph, x: np.ndarray, mode: str = "eval", seed: int = 0,
         acts[node.id] = out
         if keep_caches:
             caches[node.id] = cache
+        for dead in frees.get(node.id, ()):
+            del acts[dead]
     return ForwardPass(output=acts[g.output_id], activations=acts,
                        caches=caches if keep_caches else {})
+
+
+def _last_reads(g: ModelGraph, keep: set) -> dict:
+    """Per node, the activations not in ``keep`` that are dead once it has
+    run: those it is the last reader of, and its own if nothing reads it."""
+    last = {}
+    for node in g.nodes.values():
+        last[node.id] = node.id
+        for src in node.inputs:
+            last[src] = node.id
+    frees: dict = {}
+    for nid, reader in last.items():
+        if nid != INPUT and nid not in keep:
+            frees.setdefault(reader, []).append(nid)
+    return frees
 
 
 def logits_node(g: ModelGraph) -> str:
@@ -406,8 +464,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
              mode: str = "train", seed: int = 0):
     """Mean cross-entropy loss, plus gradients for every parameter and
-    every node output. Returns (loss, param_grads, node_grads, fwd)."""
-    return _backprop(g, x, labels, mode, seed, prob_floor=0.0)
+    every node output. Returns (loss, param_grads, node_grads, fwd);
+    ``fwd`` keeps the activations of the capture points, the logits and
+    the output."""
+    keep = [cap for cap, _ in capture_points(g)]
+    return _backprop(g, x, labels, mode, seed, prob_floor=0.0, keep=keep)
 
 
 # Softmax probabilities below this are zeroed in the training step only.
@@ -422,10 +483,11 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
 _PROB_FLOOR = 1e-250
 
 
-def _backprop(g, x, labels, mode, seed, prob_floor):
+def _backprop(g, x, labels, mode, seed, prob_floor, keep=()):
     labels = np.asarray(labels, dtype=np.intp)
-    fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True)
     lid = logits_node(g)
+    fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True,
+                  keep=[lid, *keep])
     loss, dlogits = _softmax_loss(fwd.activations[lid], labels)
     if prob_floor:
         np.copyto(dlogits, 0.0, where=dlogits < prob_floor)
@@ -482,29 +544,51 @@ def _trace_producer(g: ModelGraph, src: str):
     return None
 
 
+# Samples per forward of an activation-only capture. The capture points
+# of one chunk are the only activations it keeps, and they are copied into
+# the whole set's arrays at once; per sample they match a single forward
+# over all samples bit for bit.
+CAPTURE_CHUNK = 64
+
+
 def capture_activations(g: ModelGraph, samples: np.ndarray,
                         labels: np.ndarray | None = None,
                         want_grads: bool = False, seed: int = 0):
     """Eval-mode capture of post-BN / post-bias activations.
 
     Returns records, or (records, grad_records) when ``want_grads`` is
-    set (which requires labels for the loss).
+    set (which requires labels for the loss). Without gradients the
+    samples run in chunks of ``CAPTURE_CHUNK``; with them, in one
+    ``backward``, whose mean loss spans the whole set.
     """
     points = capture_points(g)
+    caps = [cap for cap, _ in points]
     if want_grads:
         if labels is None:
             raise ValueError("gradient capture needs labels")
         _, _, node_grads, fwd = backward(g, samples, labels, mode="eval", seed=seed)
+        values = {cap: fwd.activations[cap] for cap in caps}
     else:
-        fwd = forward(g, samples, mode="eval", seed=seed)
-        node_grads = {}
-    records = [ActivationRecord(layer_id=prod, capture_id=cap,
-                                values=fwd.activations[cap])
+        n = len(samples)
+        for i in range(0, n, CAPTURE_CHUNK) or [0]:
+            acts = forward(g, samples[i:i + CAPTURE_CHUNK], mode="eval",
+                           seed=seed, keep=caps).activations
+            if n <= CAPTURE_CHUNK:
+                values = acts
+            else:
+                if i == 0:  # laid out as one forward would lay them out
+                    values = {cap: np.empty_like(acts[cap],
+                                                 shape=(n,) + acts[cap].shape[1:])
+                              for cap in caps}
+                for cap in caps:
+                    values[cap][i:i + CAPTURE_CHUNK] = acts[cap]
+            del acts  # before the next chunk's forward
+    records = [ActivationRecord(layer_id=prod, capture_id=cap, values=values[cap])
                for cap, prod in points]
     if not want_grads:
         return records
     grads = [GradientRecord(layer_id=prod, capture_id=cap,
-                            values=node_grads.get(cap, np.zeros_like(fwd.activations[cap])))
+                            values=node_grads.get(cap, np.zeros_like(values[cap])))
              for cap, prod in points]
     return records, grads
 
@@ -551,7 +635,8 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     x, y = dataset
     if len(x) == 0:
         raise ValueError("empty dataset")
-    # the validation split never reaches the loss, so check it here too
+    # the validation split never reaches the loss; refuse it before the
+    # first epoch rather than in evaluate after it
     _check_labels(y, infer_shapes(g)[logits_node(g)][0])
     rng = make_rng(cfg.seed)
     perm = rng.permutation(len(x))

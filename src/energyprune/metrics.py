@@ -60,16 +60,18 @@ EVAL_BATCH = 512
 
 def evaluate(g: ModelGraph, dataset) -> float:
     """Top-1 accuracy in eval mode, in batches of ``EVAL_BATCH``. Argmax
-    ties break toward the lowest class index."""
-    from .engine import forward, logits_node
+    ties break toward the lowest class index. A label that is not a class
+    of the model raises ``engine.LabelError``."""
+    from .engine import _check_labels, forward, logits_node
 
     x, y = dataset
     if len(x) == 0:
         raise ValueError("empty dataset")
     lid = logits_node(g)
+    _check_labels(np.asarray(y), infer_shapes(g)[lid][0])
     hits = 0
     for i in range(0, len(x), EVAL_BATCH):
-        logits = forward(g, x[i:i + EVAL_BATCH]).activations[lid]
+        logits = forward(g, x[i:i + EVAL_BATCH], keep=[lid]).activations[lid]
         hits += int(np.sum(np.argmax(logits, axis=1) == y[i:i + EVAL_BATCH]))
     return hits / len(x)
 

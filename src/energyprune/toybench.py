@@ -416,7 +416,7 @@ def select_by_loss(g: ModelGraph, dataset, mode: str, batch_size: int,
         idx = perm[b * batch_size:(b + 1) * batch_size]
         if len(idx) == 0:
             break
-        logits = forward(g, x[idx]).activations[lid]
+        logits = forward(g, x[idx], keep=[lid]).activations[lid]
         losses.append(cross_entropy(logits, y[idx]))
         batches.append(idx)
     losses = np.array(losses)

@@ -330,6 +330,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")]) == EXIT_DATA
         assert "label out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["4", "-1"])
+    def test_eval_label_out_of_range_is_data_error(self, workdir, tmp_path,
+                                                   capsys, label):
+        # eval once counted such a label as a miss and exited 0
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (workdir / "data" / "test.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + label
+        (data / "test.csv").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--model", str(workdir / "model.json"),
+                     "--data", str(data)]) == EXIT_DATA
+        assert "label out of range" in capsys.readouterr().err
+
     def test_ragged_report_is_data_error(self, tmp_path, capsys):
         # a row shorter than its header once died in format_table (exit 1)
         report = tmp_path / "r.tsv"

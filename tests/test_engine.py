@@ -1,8 +1,12 @@
 """Execution engine: forward/backward correctness, capture, training."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from energyprune import engine
 from energyprune.engine import (_PROB_FLOOR, DivergenceError, LabelError,
                                 TrainConfig, _backprop, _backward_node, _forward_node,
                                 backward, capture_activations, capture_points,
@@ -11,9 +15,10 @@ from energyprune.engine import (_PROB_FLOOR, DivergenceError, LabelError,
 from energyprune.graph import INPUT, LayerNode, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import evaluate
-from energyprune.toybench import (ToyDatasetSpec, build_toy_cnn_plain,
+from energyprune.toybench import (ZOO_BUILDERS, ToyDatasetSpec,
+                                  build_reference_arch, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
-                                  gen_blobs)
+                                  gen_blobs, gen_class_images)
 from helpers import (KIND_CONFIGS, _bn, _conv, _dense, _finish, _op,
                      fd_max_rel_err, reference_avgpool, reference_avgpool_grad,
                      reference_batchnorm, reference_batchnorm_grad,
@@ -509,8 +514,8 @@ class TestTraining:
                     max_epochs=1, schedule="constant")
 
     def test_label_out_of_range_in_the_validation_split(self, blobs):
-        # the validation split only meets evaluate, which would count the
-        # label as a miss instead of refusing it
+        # the validation split never reaches the loss; train refuses it
+        # before the first epoch, not after it in evaluate
         x, y = blobs.train_x[:40], blobs.train_y[:40].copy()
         cfg = TrainConfig(max_epochs=1, batch_size=32, seed=0)
         y[make_rng(cfg.seed).permutation(len(x))[0]] = 4
@@ -523,3 +528,130 @@ class TestTraining:
             train(g, (np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig())
         with pytest.raises(ValueError):
             evaluate(g, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+
+
+# --- liveness and chunked capture ---------------------------------------
+
+def _reference_activations(g, x):
+    """Every node's eval-mode output, from one node at a time."""
+    acts = {INPUT: x}
+    for node in g.nodes.values():
+        acts[node.id] = _forward_node(node, [acts[s] for s in node.inputs],
+                                      "eval", None, {})
+    del acts[INPUT]
+    return acts
+
+
+class TestLiveness:
+    def test_default_keeps_every_activation(self):
+        g = build_toy_cnn_residual(seed=2)
+        x = make_rng(3).normal(size=(4, 3, 8, 8))
+        acts = forward(g, x).activations
+        ref = _reference_activations(g, x)
+        assert list(acts) == list(ref) == list(g.nodes)
+        for nid in ref:
+            assert np.array_equal(acts[nid], ref[nid]), nid
+
+    def test_keep_returns_exactly_the_kept_nodes_and_the_output(self):
+        g = build_toy_cnn_residual(seed=2)
+        x = make_rng(3).normal(size=(4, 3, 8, 8))
+        full = forward(g, x).activations
+        for keep in ([], ["b1.bn2"], ["b2.add", "stem.conv", "out"]):
+            fwd = forward(g, x, keep=keep)
+            assert set(fwd.activations) == set(keep) | {g.output_id}
+            assert fwd.output is fwd.activations[g.output_id]
+            for nid, a in fwd.activations.items():
+                assert np.array_equal(a, full[nid]), nid
+
+    def test_keep_leaves_the_backward_caches_alone(self):
+        g = build_toy_cnn_residual(seed=2)
+        x = make_rng(3).normal(size=(4, 3, 8, 8))
+        a = forward(g, x, mode="train", keep_caches=True)
+        b = forward(g, x, mode="train", keep_caches=True, keep=[])
+        assert a.caches.keys() == b.caches.keys() == set(g.nodes)
+        for nid, cache in a.caches.items():
+            assert cache.keys() == b.caches[nid].keys(), nid
+            for key, v in cache.items():
+                if isinstance(v, np.ndarray):
+                    assert np.array_equal(v, b.caches[nid][key]), (nid, key)
+
+    def test_a_branch_nothing_reads_is_dropped(self, blobs):
+        g = ModelGraph((2,))
+        _dense(g, "fc1", INPUT, 2, 4)
+        _dense(g, "side", "fc1", 4, 3)
+        _dense(g, "out", "fc1", 4, 2)
+        init_params(g, seed=0)
+        assert set(forward(g, blobs.train_x[:4], keep=[]).activations) == {"out"}
+
+    def test_backward_keeps_the_capture_points_and_the_logits(self):
+        g = build_toy_cnn_residual(seed=2)
+        x = make_rng(3).normal(size=(4, 3, 8, 8))
+        fwd = backward(g, x, np.array([0, 1, 2, 3]))[3]
+        caps = {cap for cap, _ in capture_points(g)}
+        assert set(fwd.activations) == caps | {logits_node(g), g.output_id}
+
+
+_CHUNK_MODELS = {"resnet56": lambda: init_params(build_reference_arch("resnet56"), 0),
+                 **{name: lambda b=b: b(4, 0) for name, b in ZOO_BUILDERS.items()}}
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", sorted(_CHUNK_MODELS))
+def test_chunked_capture_equals_one_call(monkeypatch, name, n):
+    g = _CHUNK_MODELS[name]()
+    x = make_rng(n).normal(size=(n,) + g.input_shape)
+    monkeypatch.setattr(engine, "CAPTURE_CHUNK", n)
+    whole = capture_activations(g, x)
+    monkeypatch.setattr(engine, "CAPTURE_CHUNK", 5)  # uneven: 16 = 3 * 5 + 1
+    chunked = capture_activations(g, x)
+    assert [r.capture_id for r in chunked] == [r.capture_id for r in whole]
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a.values, b.values), a.capture_id
+        assert a.values.strides == b.values.strides, a.capture_id
+
+
+def _train_digest(g, history):
+    h = hashlib.sha256(repr(history).encode())
+    for nid, name, a in g.parameters():
+        h.update(f"{nid}/{name}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the trained parameters and history. They were recorded with
+# numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64 before the activations
+# became liveness-managed and before the strided input gradient became
+# polyphase; both changes left every bit in place. Another BLAS kernel may
+# round the GEMMs differently and so give other digests.
+ZOO_TRAIN_SHA256 = {
+    "toy-cnn-plain": "e7b8bfb42f4b91ac365db4633c1e7f79f7540e2e53535f1b45f47998f1b6ca4b",
+    "toy-cnn-residual": "30b8026a7fd040a3e78e770c5e52fa59ceb145fa5d1247e0c7b39bd22bf4116f",
+    "toy-cnn-inception": "e5072d778a5d9efd2fdd569032be6a7f2dcfa6efa24534b2e0bbe16b685c38b6",
+    "toy-densenet-cell": "b8e2acb9337275480682faa1e68f872a7d8bb11f7a030d990961bea10f53c635",
+}
+
+
+def test_zoo_training_is_bit_identical_to_the_pinned_digests():
+    data = gen_class_images(classes=4, samples_per_class=16, seed=0)
+    cfg = TrainConfig(lr=0.02, max_epochs=3, patience=3, batch_size=16, seed=0)
+    got = {name: _train_digest(*train(build(4, 0), (data.train_x, data.train_y),
+                                      cfg))
+           for name, build in ZOO_BUILDERS.items()}
+    assert got == ZOO_TRAIN_SHA256
+
+
+def test_resnet56_eval_forward_at_32x32_stays_under_200_mib():
+    # keeping every activation traced 933 MiB here; the liveness-aware
+    # forward 105 MiB
+    g = init_params(build_reference_arch("resnet56"), 0)
+    assert g.input_shape == (3, 32, 32)
+    x = make_rng(0).normal(size=(64, 3, 32, 32))
+    lid = logits_node(g)
+    tracemalloc.start()
+    try:
+        logits = forward(g, x, keep=[lid]).activations[lid]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (64, 10)
+    assert peak < 200 * 2**20, f"{peak / 2**20:.0f} MiB"

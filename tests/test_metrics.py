@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from energyprune.engine import LabelError
 from energyprune.graph import INPUT, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import (count_complexity, evaluate, kendall_distance,
@@ -113,6 +114,13 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(self._graph(), (np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_outside_the_classes_is_refused(self, label):
+        # once counted as a miss
+        x = np.eye(3)
+        with pytest.raises(LabelError, match="out of range"):
+            evaluate(self._graph(), (x, np.array([0, label, 2])))
 
 
 class TestStability:
