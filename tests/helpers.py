@@ -29,11 +29,19 @@ from energyprune.pruner import PlanError, check_score_widths, default_protected
 # --- eigendecomposition oracle -------------------------------------------
 
 def oracle_singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a via eigvalsh of the Gram matrix."""
+    """Singular values of a via eigvalsh of [[0, a], [a.T, 0]].
+
+    That matrix has eigenvalues +-s_i (and |m - n| zeros), each with an
+    absolute error near eps * |a|. The Gram matrix a.T @ a would square
+    the scale: a zero singular value comes back as sqrt(eps) * |a|.
+    """
     a = np.asarray(a, dtype=np.float64)
-    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    ev = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(ev, 0.0, None))[::-1]
+    m, n = a.shape
+    aug = np.zeros((m + n, m + n))
+    aug[:m, m:] = a
+    aug[m:, :m] = a.T
+    ev = np.linalg.eigvalsh(aug)[::-1][:min(m, n)]
+    return np.clip(ev, 0.0, None)
 
 
 def oracle_nuclear_norm(a: np.ndarray) -> float:

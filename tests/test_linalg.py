@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import energyprune
 from energyprune import linalg
@@ -189,6 +189,8 @@ finite_matrices = st.integers(1, 12).flatmap(
 class TestNuclearProperties:
     @settings(max_examples=60, deadline=None)
     @given(finite_matrices)
+    @example(np.array([[0.0, 0.0, 0.0], [1.0, 1.21875, 183.0],
+                       [0.0, 0.0, 0.0]]))
     def test_matches_oracle(self, a):
         assert nuclear_norm(a) == pytest.approx(
             oracle_nuclear_norm(a), rel=1e-8, abs=1e-6)
