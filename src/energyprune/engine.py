@@ -118,6 +118,37 @@ def _windows(x, k, stride, pad, fill=0.0):
     return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
+def _reduce_sum(maps, out):
+    """The maps summed into ``out`` in the order np.add.reduce sums a
+    contiguous axis of their length (numpy's pairwise summation): one
+    running sum under 8 terms; up to 128, eight running sums of every
+    eighth term, then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+    plus the rest; beyond, two halves. Starting from ``maps[0] + 0.0``
+    stands in for the reduction's 0.0 start, which turns an all -0.0 sum
+    into +0.0."""
+    n = len(maps)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _reduce_sum(maps[:half], out)
+        out += _reduce_sum(maps[half:], np.empty_like(out))
+        return out
+    np.add(maps[0], 0.0, out=out)
+    if n < 8:
+        for m in maps[1:]:
+            out += m
+        return out
+    sums = [out] + [m.copy() for m in maps[1:8]]
+    rest = n - n % 8
+    for i in range(8, rest, 8):
+        for s, m in zip(sums, maps[i:i + 8]):
+            s += m
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        sums[a] += sums[b]
+    for m in maps[rest:]:
+        out += m
+    return out
+
+
 def _forward_node(node, xs, mode, rng, cache):
     k = node.kind
     if k == "Dense":
@@ -166,8 +197,13 @@ def _forward_node(node, xs, mode, rng, cache):
         return out
     if k == "ReLU":
         (x,) = xs
-        cache["mask"] = x > 0
-        return np.where(cache["mask"], x, 0.0)
+        # np.where(x > 0, x, 0.0) without a branch per entry: fmax drops
+        # NaN and negatives, and adding 0.0 turns the -0.0 it may keep
+        # into +0.0. The mask is in C order, the gradient's order.
+        cache["mask"] = np.greater(x, 0.0, out=np.empty(x.shape, dtype=bool))
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
     if k == "MaxPool":
         (x,) = xs
         kk = node.attrs["k"]
@@ -175,7 +211,8 @@ def _forward_node(node, xs, mode, rng, cache):
                        fill=-np.inf)
         # a running maximum over the k*k offset maps in row-major order;
         # the strict > keeps the index of the first maximum, the one
-        # argmax picks (for non-NaN input)
+        # argmax picks (for non-NaN input). The offsets rise, so the
+        # maximum of idx and gt * o is o wherever v won.
         out = win[..., 0, 0].copy()
         idx = np.zeros(out.shape, dtype=np.min_scalar_type(kk * kk - 1))
         gt = np.empty(out.shape, dtype=bool)
@@ -183,7 +220,7 @@ def _forward_node(node, xs, mode, rng, cache):
             v = win[..., o // kk, o % kk]
             np.greater(v, out, out=gt)
             np.maximum(out, v, out=out)
-            np.putmask(idx, gt, o)
+            np.maximum(idx, np.multiply(gt, o, dtype=idx.dtype), out=idx)
         cache.update(idx=idx, x_shape=x.shape)
         return out
     if k == "AvgPool":
@@ -192,7 +229,15 @@ def _forward_node(node, xs, mode, rng, cache):
         kk = node.attrs["k"]
         win = _windows(x, kk, node.attrs["stride"], node.attrs.get("pad", 0))
         cache["x_shape"] = x.shape
-        return win.reshape(win.shape[:4] + (kk * kk,)).mean(axis=-1)
+        if kk == 1 or win.strides[4] == kk * win.strides[5]:
+            # the k x k offsets are evenly spaced (a row k wide), so the
+            # flattened windows are a view, not a copy
+            return win.reshape(win.shape[:4] + (kk * kk,)).mean(axis=-1)
+        # the mean over a C-order copy of every window, without the copy
+        out = _reduce_sum([win[..., o // kk, o % kk] for o in range(kk * kk)],
+                          np.empty(win.shape[:4]))
+        out /= kk * kk
+        return out
     if k == "GlobalAvgPool":
         (x,) = xs
         cache["x_shape"] = x.shape
@@ -303,7 +348,15 @@ def _backward_node(node, grad, cache, param_grads, input_grad=True):
         gx *= inv.reshape(shape)
         return [gx]
     if k == "ReLU":
-        return [np.where(cache["mask"], grad, 0.0)]
+        # np.where(mask, grad, 0.0) bit for bit without a branch per
+        # entry: the gradient's bits ANDed with all ones or all zeros.
+        # (grad * mask would keep the sign of a blocked negative entry
+        # and turn a blocked inf into NaN.)
+        gx = np.empty(grad.shape)
+        bits = gx.view(np.int64)
+        np.subtract(0, cache["mask"], out=bits, dtype=np.int64)
+        np.bitwise_and(bits, grad.view(np.int64), out=bits)
+        return [gx]
     if k in ("MaxPool", "AvgPool"):
         # the adjoint of _windows: each kernel offset's (N, C, Ho, Wo)
         # gradient block is added onto its strided map of a padded buffer
@@ -315,7 +368,9 @@ def _backward_node(node, grad, cache, param_grads, input_grad=True):
         share = grad / (kk * kk) if k == "AvgPool" else None
         for o in range(kk * kk):
             i, j = divmod(o, kk)
-            block = share if share is not None else np.where(cache["idx"] == o, grad, 0.0)
+            # grad * 0 is -0.0 or NaN where np.where gave 0.0: the sums
+            # are the same for every finite gradient
+            block = share if share is not None else grad * (cache["idx"] == o)
             gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += block
         return [gx[:, :, pad:-pad, pad:-pad] if pad else gx]
     if k == "GlobalAvgPool":

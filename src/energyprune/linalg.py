@@ -112,12 +112,13 @@ def _jacobi(a: np.ndarray, want_v: bool):
     orthogonal in fewer sweeps: R2^T V = W. Returns (s, q, u, v): s
     (C, n) holds each matrix's singular values, non-increasing, those at
     most SV_CLAMP_REL of the largest set to 0. With ``want_v``,
-    a = q @ u @ diag(s) @ v.T with v = Q2 V, and u's columns for s = 0
-    are 0; else q, u and v are None. A matrix has converged, and stops
-    changing, once a sweep leaves every column pair of W below
-    JACOBI_TOL (or shorter than the floor below); the second QR changes
-    how many sweeps that takes, not the test. So a matrix's result does
-    not depend on the other matrices of the stack.
+    a = q @ u @ diag(s) @ v.T with v = Q2 V, up to the columns of u for
+    s = 0 or under the floor below, which are 0; else q, u and v are
+    None. A matrix has converged, and stops changing, once a sweep leaves
+    every column pair of W below JACOBI_TOL (or shorter than the floor
+    below); the second QR changes how many sweeps that takes, not the
+    test. So a matrix's result does not depend on the other matrices of
+    the stack.
     """
     c, _, n = a.shape
     exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
@@ -193,31 +194,31 @@ def _jacobi(a: np.ndarray, want_v: bool):
     w = np.take_along_axis(w, order[:, None, :], axis=2)
     v = q2 @ np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
                                 order[:, None, :], axis=2)
+    # a column left under the floor was never rotated against the rest,
+    # so it is not orthogonal to them: its u column stays 0, for svd to
+    # complete
     u = np.divide(w, s[:, None, :], out=np.zeros_like(w),
-                  where=s[:, None, :] > 0)
+                  where=(s * s > floor)[:, None, :])
     return s / scale[:, None], q, u, v
 
 
 def _complete_orthonormal(u: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """Fill zero-singular-value columns of u with a deterministic
-    orthonormal completion (Gram-Schmidt against identity candidates)."""
-    m = u.shape[0]
-    basis = [u[:, j] for j in np.nonzero(good)[0]]
+    """Fill the columns of u not in ``good`` with a deterministic
+    orthonormal completion. Each takes the identity column with the
+    largest part outside the columns so far, projected off them twice:
+    that part is at least sqrt(1/m) long, so the rounding in the columns
+    so far is not magnified, and a second pass leaves it orthogonal to
+    working precision."""
     filled = u.copy()
-    cand = 0
-    for j in np.nonzero(~good)[0]:
-        while True:
-            vec = np.zeros(m)
-            vec[cand % m] = 1.0
-            cand += 1
-            for b in basis:
-                vec = vec - (b @ vec) * b
-            norm = np.linalg.norm(vec)
-            if norm > 1e-6:
-                vec /= norm
-                break
-        basis.append(vec)
-        filled[:, j] = vec
+    done = good.copy()
+    for j in np.flatnonzero(~good):
+        basis = filled[:, done]
+        cand = np.eye(u.shape[0])
+        for _ in range(2):
+            cand -= basis @ (basis.T @ cand)
+        best = cand[:, np.argmax(np.einsum("ij,ij->j", cand, cand))]
+        filled[:, j] = best / np.linalg.norm(best)
+        done[j] = True
     return filled
 
 
@@ -230,8 +231,9 @@ def svd(a: np.ndarray) -> SvdResult:
     wide = a.shape[1] > a.shape[0]
     tall = a.T if wide else a
     s, q, u, v = (x[0] for x in _jacobi(tall[None], want_v=True))
-    if not (s > 0).all():
-        u = _complete_orthonormal(u, s > 0)
+    good = u.any(axis=0)
+    if not good.all():
+        u = _complete_orthonormal(u, good)
     u = q @ u
     return SvdResult(u=v, s=s, v=u) if wide else SvdResult(u=u, s=s, v=v)
 

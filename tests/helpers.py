@@ -5,9 +5,9 @@ finite-difference checker, a numpy eigendecomposition oracle for
 singular values (the production code never calls numpy's SVD/eigh; the
 oracle exists only so tests can cross-check the hand-written kernels),
 the engine's earlier kernels as references (the scatter-based Conv2D
-input gradient, and the pooling, BatchNorm and SGD kernels that the
-engine must match bit for bit), and a union-find reference planner for
-the array-based one.
+input gradient, and the ReLU, pooling, BatchNorm and SGD kernels that
+the engine must match bit for bit), and a union-find reference planner
+for the array-based one.
 """
 
 from __future__ import annotations
@@ -259,11 +259,11 @@ def fd_max_rel_err(g, x, y, mode="train", seed=0, h=1e-5):
     return worst
 
 
-# --- reference window, pooling, BatchNorm and SGD kernels -------------------
+# --- reference window, ReLU, pooling, BatchNorm and SGD kernels -------------
 # The engine's kernels as they were before they dropped their window
-# copies, scatters and temporaries. The pooling, BatchNorm and SGD
-# kernels must match them bit for bit; the conv input gradient, whose
-# summation order changed, within 1e-13.
+# copies, scatters, selects and temporaries. The ReLU, pooling, BatchNorm
+# and SGD kernels must match them bit for bit; the conv input gradient,
+# whose summation order changed, within 1e-13.
 
 def _reference_windows(x, k, stride, pad, fill=0.0):
     if pad:
@@ -295,6 +295,14 @@ def reference_conv_input_grad(grad, w, x_shape, stride, pad):
     gwin = (w.reshape(cout, -1).T @ grad.reshape(n, cout, ho * wo)) \
         .reshape((n,) + w.shape[1:] + (ho, wo))
     return _scatter_windows(gwin, x_shape, stride, pad)
+
+
+def reference_relu(x):
+    return np.where(x > 0, x, 0.0)
+
+
+def reference_relu_grad(grad, x):
+    return np.where(x > 0, grad, 0.0)
 
 
 def reference_maxpool(x, k, stride, pad):

@@ -23,7 +23,8 @@ from helpers import (KIND_CONFIGS, _bn, _conv, _dense, _finish, _op,
                      fd_max_rel_err, reference_avgpool, reference_avgpool_grad,
                      reference_batchnorm, reference_batchnorm_grad,
                      reference_conv_input_grad, reference_maxpool,
-                     reference_maxpool_grad, reference_sgd_step)
+                     reference_maxpool_grad, reference_relu,
+                     reference_relu_grad, reference_sgd_step)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
@@ -98,6 +99,57 @@ def test_conv_input_gradient_matches_the_scatter_reference():
             (k, stride, pad, c, cout)
 
 
+def _channel_last(x):
+    """x's values laid out as a conv output: (N, H, W, C) in memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# every class of float64: NaN, infinities, signed zeros and subnormals
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                      2.5e-310, -2.5e-310, 1.0, -1.0])
+
+
+def test_relu_matches_the_reference_bit_for_bit():
+    # lengths 1-40 reach every tail of numpy's vector loops; the layouts
+    # are a Dense output, an NCHW map, a conv output (channel-last) and a
+    # strided view
+    node = LayerNode("r", "ReLU", {}, {}, [INPUT])
+    for n in range(1, 41):
+        rng = make_rng(900 + n)
+
+        def draw(shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            special = rng.random(shape) < 0.5
+            x[special] = rng.choice(_SPECIALS, size=np.count_nonzero(special))
+            return x
+
+        x = draw((2, n, 3, 2))
+        layouts = {"dense": draw((1, n)), "nchw": x,
+                   "channel-last": _channel_last(x),
+                   "strided": draw((2, 2 * n, 3, 4))[:, ::2, :, ::2]}
+        for layout, x in layouts.items():
+            cache: dict = {}
+            out = _forward_node(node, [x], "train", None, cache)
+            ref = reference_relu(x)
+            assert np.array_equal(_bits(out), _bits(ref)), (layout, n)
+            assert out.strides == ref.strides, (layout, n)
+            assert cache["mask"].flags.c_contiguous, (layout, n)
+            grad = draw(x.shape)
+            grads = {"c-order": grad}
+            if x.ndim == 4:
+                grads["channel-last"] = _channel_last(grad)
+            for order, grad in grads.items():
+                (gx,) = _backward_node(node, grad, cache, {})
+                ref_gx = reference_relu_grad(grad, x)
+                case = (layout, order, n)
+                assert np.array_equal(_bits(gx), _bits(ref_gx)), case
+                assert gx.flags.c_contiguous, case
+
+
 def _pool_input(rng, kind, shape):
     if kind == "ties":
         return rng.integers(-2, 3, size=shape).astype(float)
@@ -109,14 +161,19 @@ def _pool_input(rng, kind, shape):
 
 def test_pools_match_the_reference_bit_for_bit():
     # every k, stride and pad <= k // 2 on non-square maps, with random,
-    # tied (integer-valued) and -inf inputs
+    # tied (integer-valued) and -inf inputs, contiguous and channel-last
+    # (a conv output's order) under NCHW-ordered gradients, as training
+    # feeds them
     cases = [(k, stride, pad, data) for k in (1, 2, 3) for stride in (1, 2, 3)
              for pad in range(k // 2 + 1) for data in ("normal", "ties", "-inf")]
     for i, (k, stride, pad, data) in enumerate(cases):
         rng = make_rng(700 + i)
         x = _pool_input(rng, data, (2, 3, 7, 5))
+        layouts = {"nchw": x, "channel-last": _channel_last(x)}
         attrs = {"k": k, "stride": stride, "pad": pad}
-        for kind in ("MaxPool", "AvgPool"):
+        for kind, layout in [(kind, layout) for kind in ("MaxPool", "AvgPool")
+                             for layout in layouts]:
+            x = layouts[layout]
             node = LayerNode("p", kind, attrs, {}, [INPUT])
             cache: dict = {}
             out = _forward_node(node, [x], "train", None, cache)
@@ -128,11 +185,28 @@ def test_pools_match_the_reference_bit_for_bit():
             else:
                 ref = reference_avgpool(x, k, stride, pad)
                 ref_gx = reference_avgpool_grad(grad, x.shape, k, stride, pad)
-            case = (kind, k, stride, pad, data)
+            case = (kind, layout, k, stride, pad, data)
             assert np.array_equal(out, ref), case
             assert out.strides == ref.strides, case
             assert np.array_equal(gx, ref_gx), case
             assert gx.strides == ref_gx.strides, case
+
+
+@pytest.mark.parametrize("k", [4, 9, 13])
+def test_avgpool_keeps_numpys_summation_order_for_wide_windows(k):
+    # 16 and 81 terms take eight running sums, 169 two halves of 80 and
+    # 89; about a third of the inputs are -0.0, and one window holds
+    # nothing else
+    rng = make_rng(800 + k)
+    shape = (2, 3, k + 3, k + 2)
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    x[rng.random(shape) < 0.3] = -0.0
+    x[0, 0, :k, :k] = -0.0
+    for x in (x, _channel_last(x)):
+        node = LayerNode("p", "AvgPool", {"k": k, "stride": 1, "pad": 0}, {}, [INPUT])
+        out = _forward_node(node, [x], "train", None, {})
+        ref = reference_avgpool(x, k, 1, 0)
+        assert np.array_equal(_bits(out), _bits(ref)) and out.strides == ref.strides
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])

@@ -117,6 +117,20 @@ class TestJacobiKernel:
             assert nn == pytest.approx(ref.sum(), rel=1e-10)
             assert np.max(np.abs(res.reconstruct() - a)) \
                 / np.linalg.norm(a) < 1e-10
+            assert _ortho_err(res.u) < 1e-10 and _ortho_err(res.v) < 1e-10
+
+    @pytest.mark.parametrize("seed", [2, 6, 7])
+    def test_u_stays_orthonormal_with_columns_under_the_floor(self, seed):
+        # graded down to 1e-14: columns fall under the no-rotation floor
+        # (SV_CLAMP_REL * |a|_F), some of them above the clamp
+        # (SV_CLAMP_REL * s_max), and U is completed around them
+        for shape in [(32, 32), (40, 20), (20, 40), (16, 16)]:
+            a = make_rng(seed).normal(size=shape) \
+                * np.logspace(0, -14, shape[1])
+            res = svd(a)
+            assert _ortho_err(res.u) < 1e-10 and _ortho_err(res.v) < 1e-10
+            assert np.max(np.abs(res.reconstruct() - a)) \
+                / np.linalg.norm(a) < 1e-10
 
     @pytest.mark.parametrize("shape", [(9, 7), (7, 9), (33, 17), (17, 33)])
     def test_factors_of_graded_shapes(self, shape):
