@@ -34,28 +34,17 @@ EXIT_NUMERIC = 4
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        raw = load_config(args.config)
-        kwargs = {}
-        valid = {f.name: f.type for f in fields(TrainConfig)}
-        for key, val in raw.items():
-            if key not in valid:
-                continue
-            if key in ("max_epochs", "patience", "batch_size", "seed"):
-                kwargs[key] = int(val)
-            elif key == "schedule":
-                kwargs[key] = val
-            else:
-                kwargs[key] = float(val)
-        cfg = TrainConfig(**kwargs)
-    overrides = {}
-    for name in ("lr", "momentum", "weight_decay", "schedule", "max_epochs",
-                 "patience", "batch_size", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return replace(cfg, **overrides)
+    """The config file's settings, each converted to the type of its
+    TrainConfig default, then the flags."""
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+    raw = load_config(args.config) if getattr(args, "config", None) else {}
+    for key in raw:
+        if key not in kinds:
+            raise ValueError(f"{args.config}: unknown train setting {key!r}; "
+                             f"known: {', '.join(kinds)}")
+    cfg = TrainConfig(**{key: kinds[key](val) for key, val in raw.items()})
+    return replace(cfg, **{name: getattr(args, name) for name in kinds
+                           if getattr(args, name, None) is not None})
 
 
 def _add_train_flags(p):

@@ -401,25 +401,20 @@ class ForwardPass:
 
 
 def _mask_vectors(g: ModelGraph, masks: dict) -> dict:
-    """Per maskable node (Conv2D/Dense/BatchNorm), a channel multiplier
-    built from per-producer masks via channel provenance."""
+    """Per maskable node (Conv2D/Dense/BatchNorm) that a mask reaches, a
+    channel multiplier: the mask entry of the slot each output channel
+    comes from, 1.0 for a channel of the graph input."""
     t = channel_provenance(g)
-    mult = np.ones(len(t.gid))  # per slot
-    masked = np.zeros(len(t.gid), dtype=bool)
+    mult = np.ones(len(t.gid) + 1)  # per slot, then slot -1
     for i, lid in enumerate(t.layers):
         if lid in masks:
             mult[t.start[i]:t.start[i + 1]] = masks[lid]
-            masked[t.start[i]:t.start[i + 1]] = True
     vectors = {}
     for node in g.nodes.values():
-        if node.kind in ("Dense", "Conv2D"):
-            if node.id in masks:
-                vectors[node.id] = np.asarray(masks[node.id], dtype=float)
-        elif node.kind == "BatchNorm":
-            slots = t.prov[node.id]
-            real = slots >= 0
-            if masked[slots[real]].any():
-                vectors[node.id] = np.where(real, mult[slots], 1.0)
+        if node.kind in ("Dense", "Conv2D", "BatchNorm"):
+            vec = mult[t.prov[node.id]]
+            if (vec != 1.0).any():
+                vectors[node.id] = vec
     return vectors
 
 
@@ -593,8 +588,8 @@ def _trace_producer(g: ModelGraph, src: str):
         node = g.nodes[src]
         if node.kind in ("Dense", "Conv2D"):
             return node.id
-        if node.kind in ("Add", "Concat"):
-            return None  # no unique producer
+        if node.kind in ("Add", "Concat", "Flatten"):
+            return None  # several producers, or features past a Flatten
         src = node.inputs[0]
     return None
 

@@ -1,16 +1,16 @@
 """Layer-graph IR: shape inference, channel-dependency groups, rewriting.
 
 A ModelGraph is a DAG of LayerNodes wired producer -> consumer, with
-``INPUT`` naming the graph input. Shape inference, channel provenance
-and the rewrite are each one walk in topological order over a table
-seeded with the graph input's entry. Channel dependency analysis
-numbers every Dense/Conv2D output channel once as a slot and finds
-which slots must be removed together: residual adds tie channels
-positionally, concatenations only shift offsets, and min-label
-propagation over the tied slot pairs gives each group its smallest slot
-as root. ``rewrite_remove_channels`` derives each node's keep mask from
-its own removals and its inputs' masks, slicing its tensors into a
-genuinely smaller graph whose forward pass matches the masked original.
+``INPUT`` naming the graph input. Shape inference and channel
+provenance are each one walk in topological order over a table seeded
+with the graph input's entry. Channel provenance numbers every
+Dense/Conv2D output channel once as a slot, records the slot each
+node's channels (or features) come from, and groups the slots residual
+adds tie by min-label propagation; it is the one place that says how
+channels flow through a node kind. ``rewrite_remove_channels`` keeps,
+at every node, the channels whose slot is not removed, slicing each
+tensor into a genuinely smaller graph whose forward pass matches the
+masked original.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ class ChannelSlots(NamedTuple):
     layers: list  # Dense/Conv2D node ids, in node order
     start: np.ndarray  # layers[i] owns slots start[i]:start[i + 1]
     layer: np.ndarray  # slot -> index into layers
-    prov: dict  # node id -> slot of each output channel, -1 if none
+    prov: dict  # node id or INPUT -> slot of each output channel, -1 if
+    #             it comes from the graph input
     gid: np.ndarray  # slot -> group id
     prunable: np.ndarray  # group id -> not tied to graph-input channels
 
@@ -221,11 +222,11 @@ def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def channel_provenance(g: ModelGraph) -> ChannelSlots:
     """The slot table of g. ``prov`` gives, per node, the slot that
-    produced each output channel: an Add passes on each position's first
-    slot and ties the positions' slots into one group, a Concat joins its
-    inputs' slots, and a channel from the graph input or past a Flatten
-    is -1. A group tied positionally to graph-input channels is not
-    prunable."""
+    produced each output channel: a Flatten repeats each input slot over
+    the features it flattens, an Add passes on each position's first
+    slot and ties the positions' slots into one group, a Concat joins
+    its inputs' slots, and a channel from the graph input is -1. A group
+    tied positionally to graph-input channels is not prunable."""
     shapes = infer_shapes(g)  # validates wiring first
     layers, widths, tie_a, tie_b, frozen = [], [], [], [], []
     prov: dict = {INPUT: np.full(g.input_shape[0], -1)}
@@ -241,7 +242,8 @@ def channel_provenance(g: ModelGraph) -> ChannelSlots:
         elif k in PASSTHROUGH:
             prov[node.id] = prov[node.inputs[0]]
         elif k == "Flatten":
-            prov[node.id] = np.full(shapes[node.id][0], -1)
+            src = prov[node.inputs[0]]
+            prov[node.id] = np.repeat(src, shapes[node.id][0] // len(src))
         elif k == "Add":
             members = np.stack([prov[s] for s in node.inputs])
             real = members >= 0
@@ -252,7 +254,6 @@ def channel_provenance(g: ModelGraph) -> ChannelSlots:
             prov[node.id] = first
         else:  # Concat
             prov[node.id] = np.concatenate([prov[s] for s in node.inputs])
-    del prov[INPUT]
     label = _min_labels(n, np.concatenate(tie_a), np.concatenate(tie_b)) \
         if tie_a else np.arange(n)
     roots, gid = np.unique(label, return_inverse=True)
@@ -280,48 +281,47 @@ def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
 def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
     """Return a new graph with the given channels structurally removed.
 
-    ``removals`` is an iterable of (layer_id, ch) slots; it must be
-    closed under the graph's channel grouping. One topological walk
-    derives each node's keep mask over its output channels (or features)
-    from its own removals and its inputs' masks, and copies the node's
-    kept tensor entries once into the new graph; an empty removal set
-    yields an exact copy.
+    ``removals`` is an iterable of (layer_id, ch) channels of Dense/Conv2D
+    layers; it must be a union of whole prunable groups. Every node keeps
+    the channels (or features) whose slot is not removed, and its kept
+    tensor entries are copied once into the new graph; an empty removal
+    set yields an exact copy.
     """
-    removed: dict = {}
+    t = channel_provenance(g)
+    index = {lid: i for i, lid in enumerate(t.layers)}
+    gone = np.zeros(len(t.gid) + 1, dtype=bool)  # per slot, then slot -1
     for layer_id, ch in removals:
-        if layer_id not in g.nodes:
-            raise GraphError(f"removal names unknown layer {layer_id!r}")
-        removed.setdefault(layer_id, []).append(int(ch))
-    shapes = infer_shapes(g)
-    masks = {INPUT: np.ones(g.input_shape[0], dtype=bool)}
+        i, ch = index.get(layer_id), int(ch)
+        if i is None or not 0 <= ch < t.start[i + 1] - t.start[i]:
+            raise GraphError(f"removal ({layer_id!r}, {ch}) names no output "
+                             "channel of a Dense or Conv2D layer of the graph")
+        gone[t.start[i] + ch] = True
+    hit = np.zeros(len(t.prunable), dtype=bool)  # per group
+    hit[t.gid[gone[:-1]]] = True
+    bad = (hit[t.gid] != gone[:-1]) | (hit & ~t.prunable)[t.gid]  # per slot
+    if bad.any():
+        s = int(bad.argmax())
+        i = t.layer[s]
+        raise GraphError("removal set is not a union of whole prunable "
+                         f"channel groups: the group of ({t.layers[i]!r}, "
+                         f"{s - t.start[i]}) is split or tied to the graph "
+                         "input")
     out = ModelGraph(g.input_shape)
     for node in g.nodes.values():
-        k, attrs = node.kind, dict(node.attrs)
-        ins = [masks[s] for s in node.inputs]
-        if k in ("Dense", "Conv2D"):
-            keep = np.ones(attrs["out"], dtype=bool)
-            keep[removed.get(node.id, [])] = False
+        attrs = dict(node.attrs)
+        keep = keep_in = ~gone[t.prov[node.id]]
+        if node.kind in ("Dense", "Conv2D"):
             if not keep.any():
                 raise RewriteRefusal(f"removal set empties layer {node.id!r}")
-            attrs["in"], attrs["out"] = int(ins[0].sum()), int(keep.sum())
-        elif k == "Flatten":
-            keep = np.repeat(ins[0], shapes[node.id][0] // len(ins[0]))
-        elif k == "Concat":
-            keep = np.concatenate(ins)
-        else:  # Add and the pass-through kinds
-            if any(not np.array_equal(m, ins[0]) for m in ins[1:]):
-                raise GraphError(
-                    f"{node.id}: removal set is not closed under the Add "
-                    "channel grouping")
-            keep = ins[0]
-            if k == "BatchNorm":
-                attrs["channels"] = int(keep.sum())
-        masks[node.id] = keep
+            keep_in = ~gone[t.prov[node.inputs[0]]]
+            attrs["in"], attrs["out"] = int(keep_in.sum()), int(keep.sum())
+        elif node.kind == "BatchNorm":
+            attrs["channels"] = int(keep.sum())
         # tensors run over the node's output channels; a weight's second
         # axis runs over its input's
-        params = {name: t[np.ix_(keep, ins[0])] if name == "w" else t[keep]
-                  for name, t in node.params.items()}
-        out.nodes[node.id] = LayerNode(node.id, k, attrs, params,
+        params = {name: a[np.ix_(keep, keep_in)] if name == "w" else a[keep]
+                  for name, a in node.params.items()}
+        out.nodes[node.id] = LayerNode(node.id, node.kind, attrs, params,
                                        list(node.inputs))
     out.output_id = g.output_id
     return out

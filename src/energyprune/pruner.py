@@ -3,8 +3,8 @@
 Planning works on the graph's channel-slot arrays: it scores each
 removal group by its lowest member score, ranks groups, and removes the
 lowest until the per-layer ratio or global threshold is met. It predicts
-the pruned shapes, FLOPs and parameters from each layer's kept-channel
-count, copying no tensor. Execution is the one structural rewrite, and
+the pruned shapes, FLOPs and parameters from the slots each node keeps,
+copying no tensor. Execution is the one structural rewrite, and
 it cross-checks what it measures on the rewritten graph against those
 predictions.
 """
@@ -18,8 +18,8 @@ import numpy as np
 
 from .criteria import ScoreTable, compute_scores, normalize_layer_l2
 from .engine import TrainConfig, logits_node, train
-from .graph import (INPUT, ModelGraph, channel_provenance, infer_shapes,
-                    rewrite_remove_channels)
+from .graph import (ChannelSlots, ModelGraph, channel_provenance,
+                    infer_shapes, rewrite_remove_channels)
 from .metrics import UNCOUNTED_PARAMS, count_complexity
 
 
@@ -122,7 +122,7 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
 
     Works on the slot table: a group's score is the lowest score of its
     slots, ties rank by group id (smallest slot first), and the
-    predictions come from each layer's kept-channel count."""
+    predictions come from the slots each node keeps."""
     t = channel_provenance(g)
     check_score_widths(g, scores)
     for what, names in (("per-layer ratio", spec.per_layer_ratios),
@@ -195,12 +195,12 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
                 f"{target} channels removable")
         picked = np.array(walk, dtype=np.intp)
 
-    gone = np.isin(t.gid, picked)  # removed slots
-    kept = widths - np.bincount(t.layer[gone], minlength=len(widths))
+    gone = np.append(np.isin(t.gid, picked), False)  # per slot, then slot -1
+    kept = widths - np.bincount(t.layer[gone[:-1]], minlength=len(widths))
     if not kept.all():
         raise PlanError("spec would empty a layer: removal set empties layer "
                         f"{t.layers[int(np.argmin(kept))]!r}")
-    shapes, flops, params = _predict(g, dict(zip(t.layers, kept.tolist())))
+    shapes, flops, params = _predict(g, t, gone)
     base = count_complexity(g)
     return PruningPlan(
         removals=[(grp, float(gscore[grp.gid])) for grp in t.groups(picked)],
@@ -209,28 +209,20 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
         baseline_flops=base.flops, baseline_params=base.params)
 
 
-def _predict(g: ModelGraph, kept: dict) -> tuple[dict, int, int]:
+def _predict(g: ModelGraph, t: ChannelSlots,
+             gone: np.ndarray) -> tuple[dict, int, int]:
     """Shapes, FLOPs and parameters (by the ``metrics`` convention) of g
-    once each Dense/Conv2D layer keeps ``kept[layer_id]`` output
-    channels, from the widths alone: as in the rewrite, every tensor
-    shrinks along its output-channel axis, and a weight also along its
-    input's."""
+    once the slots marked in ``gone`` (per slot of the slot table t, then
+    a False for slot -1) are removed, from the widths alone: as in the
+    rewrite, a node keeps the channels whose slot is not removed, every
+    tensor shrinks along its output-channel axis, and a weight also along
+    its input's."""
     shapes = infer_shapes(g)
-    extent = {INPUT: g.input_shape[0]}  # first axis, before removals
-    width = {INPUT: g.input_shape[0]}  # first axis, after
+    width = {nid: len(s) - int(np.count_nonzero(gone[s]))
+             for nid, s in t.prov.items()}  # first axis, after removals
     out_shapes, flops, params = {}, 0, 0
     for node in g.nodes.values():
-        k, ins = node.kind, node.inputs
-        c_in = width[ins[0]]
-        if k in ("Dense", "Conv2D"):
-            c = kept[node.id]
-        elif k == "Flatten":
-            c = c_in * (shapes[node.id][0] // extent[ins[0]])
-        elif k == "Concat":
-            c = sum(width[s] for s in ins)
-        else:  # Add and the pass-through kinds
-            c = c_in
-        extent[node.id], width[node.id] = shapes[node.id][0], c
+        k, c, c_in = node.kind, width[node.id], width[node.inputs[0]]
         out_shapes[node.id] = (c,) + shapes[node.id][1:]
         if k == "Conv2D":
             flops += c * c_in * node.attrs["k"] ** 2 * math.prod(shapes[node.id][1:])

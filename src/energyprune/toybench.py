@@ -57,6 +57,23 @@ def _blob_centers(k: int, scale: float) -> np.ndarray:
     return scale * np.sqrt(2.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def _draw_classes(rng, means, noise, samples_per_class,
+                  test_fraction) -> Dataset:
+    """A train split of ``samples_per_class`` samples per class, then a
+    test split of ``test_fraction`` as many (at least one): the class mean
+    plus ``noise`` times standard normal noise, drawn class by class and
+    then shuffled."""
+    def draw(n):
+        x = np.concatenate([m + noise * rng.normal(size=(n,) + m.shape)
+                            for m in means])
+        y = np.repeat(np.arange(len(means), dtype=np.intp), n)
+        perm = rng.permutation(len(x))
+        return x[perm], y[perm]
+
+    n_test = max(int(round(test_fraction * samples_per_class)), 1)
+    return Dataset(*draw(samples_per_class), *draw(n_test))
+
+
 def gen_blobs(spec: ToyDatasetSpec) -> Dataset:
     """Gaussian blobs around fixed class centers; balanced labels;
     deterministic under the seed."""
@@ -65,21 +82,8 @@ def gen_blobs(spec: ToyDatasetSpec) -> Dataset:
         centers = spec.center_scale * np.asarray(spec.centers, dtype=float)
     else:
         centers = _blob_centers(spec.classes, spec.center_scale)
-    n_test = int(round(spec.test_fraction * spec.samples_per_class))
-
-    def draw(n):
-        xs, ys = [], []
-        for c in range(spec.classes):
-            xs.append(centers[c] + spec.std * rng.normal(size=(n, 2)))
-            ys.append(np.full(n, c, dtype=np.intp))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        perm = rng.permutation(len(x))
-        return x[perm], y[perm]
-
-    train_x, train_y = draw(spec.samples_per_class)
-    test_x, test_y = draw(max(n_test, 1))
-    return Dataset(train_x, train_y, test_x, test_y)
+    return _draw_classes(rng, centers, spec.std, spec.samples_per_class,
+                         spec.test_fraction)
 
 
 def gen_class_images(classes: int = 4, samples_per_class: int = 256,
@@ -89,21 +93,8 @@ def gen_class_images(classes: int = 4, samples_per_class: int = 256,
     Gaussian noise. Deterministic under the seed."""
     rng = make_rng(seed)
     templates = rng.normal(size=(classes,) + tuple(shape))
-    n_test = max(int(round(test_fraction * samples_per_class)), 1)
-
-    def draw(n):
-        xs, ys = [], []
-        for c in range(classes):
-            xs.append(templates[c] + noise * rng.normal(size=(n,) + tuple(shape)))
-            ys.append(np.full(n, c, dtype=np.intp))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        perm = rng.permutation(len(x))
-        return x[perm], y[perm]
-
-    train_x, train_y = draw(samples_per_class)
-    test_x, test_y = draw(n_test)
-    return Dataset(train_x, train_y, test_x, test_y)
+    return _draw_classes(rng, templates, noise, samples_per_class,
+                         test_fraction)
 
 
 # --- builders -----------------------------------------------------------

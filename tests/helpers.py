@@ -418,7 +418,9 @@ def reference_channel_groups(g):
         elif k in PASSTHROUGH:
             prov[node.id] = prov[node.inputs[0]]
         elif k == "Flatten":
-            prov[node.id] = [None] * shapes[node.id][0]
+            src = prov[node.inputs[0]]
+            prov[node.id] = [s for s in src
+                             for _ in range(shapes[node.id][0] // len(src))]
         elif k == "Add":
             merged = []
             for members in zip(*(prov[s] for s in node.inputs)):

@@ -23,16 +23,18 @@ import pytest
 import energyprune
 from energyprune.cli import main
 from energyprune.criteria import compute_scores, score_nuclear
-from energyprune.engine import capture_activations, forward, logits_node
+from energyprune.engine import (capture_activations, forward, init_params,
+                                logits_node)
 from energyprune.experiments import (run_data_quality, run_stability,
                                      run_toy_experiment)
-from energyprune.graph import build_channel_groups, rewrite_remove_channels
+from energyprune.graph import (INPUT, ModelGraph, build_channel_groups,
+                               rewrite_remove_channels)
 from energyprune.linalg import (make_rng, nuclear_norm, nuclear_norms,
                                 svd)
 from energyprune.metrics import count_complexity, kendall_distance
 from energyprune.toybench import (build_reference_arch, build_toy_mlp,
                                   build_zoo)
-from helpers import oracle_nuclear_norm
+from helpers import _bn, _conv, _dense, _op, oracle_nuclear_norm
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -161,11 +163,27 @@ def _random_closed_removal(g, rng):
     return slots
 
 
-@pytest.mark.slow
+def _bn_after_flatten(seed):
+    """Conv -> Flatten -> BatchNorm -> Dense, with a random BatchNorm
+    shift and running mean, so a masked channel's features leave the
+    BatchNorm nonzero unless the mask reaches it."""
+    g = ModelGraph((3, 4, 4))
+    _conv(g, "c", INPUT, 3, 4)
+    _op(g, "flat", "Flatten", "c")
+    _bn(g, "bn", "flat", 64)
+    _dense(g, "out", "bn", 64, 3)
+    init_params(g, seed)
+    rng = make_rng(seed)
+    for name in ("beta", "mean"):
+        g.nodes["bn"].params[name] = rng.normal(size=64)
+    return g
+
+
 def test_criterion_4_masked_equals_pruned():
     t0 = time.time()
     rng = make_rng(271828)
-    for name, g in build_zoo(k=4, seed=0).items():
+    models = {**build_zoo(k=4, seed=0), "bn-after-flatten": _bn_after_flatten(0)}
+    for name, g in models.items():
         for trial in range(20):
             slots = _random_closed_removal(g, rng)
             if not slots:

@@ -350,16 +350,18 @@ class TestExitCodes:
         assert main(["report", str(report)]) == EXIT_DATA
         assert "r.tsv:3: 2 fields" in capsys.readouterr().err
 
+    # max_epoch, a misspelt max_epochs, was once dropped unread
     @pytest.mark.parametrize("setting", ["lr=nan", "val_fraction=1.0",
                                          "val_fraction=-0.5",
-                                         "schedule=bogus"])
+                                         "schedule=bogus", "max_epoch=1"])
     def test_senseless_train_config_is_config_error(self, workdir, tmp_path,
-                                                    setting):
+                                                    setting, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"{setting}\nbatch_size=64\n")
         argv = ["train", "--data", str(workdir / "data"), "--max-epochs", "1",
                 "--out", str(tmp_path / "m.json")]
         assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert setting.split("=")[0] in capsys.readouterr().err
         if setting == "lr=nan":
             assert main(argv + ["--lr", "nan"]) == EXIT_CONFIG
         assert not (tmp_path / "m.json").exists()

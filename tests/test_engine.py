@@ -12,9 +12,11 @@ from energyprune.engine import (_PROB_FLOOR, DivergenceError, LabelError,
                                 backward, capture_activations, capture_points,
                                 cross_entropy, forward, init_params,
                                 logits_node, train)
+from energyprune.criteria import compute_scores
 from energyprune.graph import INPUT, LayerNode, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import evaluate
+from energyprune.pruner import PruningSpec, execute, plan
 from energyprune.toybench import (ZOO_BUILDERS, ToyDatasetSpec,
                                   build_reference_arch, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp,
@@ -490,6 +492,23 @@ class TestCapture:
         assert points["b1.bn2"] == "b1.conv2"
         assert points["b2.projbn"] == "b2.proj"
         assert len(points) == 5
+
+    def test_capture_stops_at_flatten(self):
+        # bn2 runs over c's 3 channels flattened into 48 features, so its
+        # activations are not channels of c
+        g = ModelGraph((3, 4, 4))
+        _conv(g, "c", INPUT, 3, 3)
+        _bn(g, "bn", "c", 3)
+        _op(g, "relu", "ReLU", "bn")
+        _op(g, "flat", "Flatten", "relu")
+        _bn(g, "bn2", "flat", 48)
+        _dense(g, "out", "bn2", 48, 2)
+        init_params(g, 0)
+        assert capture_points(g) == [("bn", "c")]
+        table = compute_scores(g, "nuclear", make_rng(0).normal(size=(6, 3, 4, 4)))
+        pruned = execute(g, plan(g, table, PruningSpec(mode="per-layer",
+                                                       ratio=0.4, protected=[])))
+        assert pruned.nodes["bn2"].attrs["channels"] == 32
 
     def test_capture_shapes_and_eval_mode(self):
         g = build_toy_mlp(hidden=5)

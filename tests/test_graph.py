@@ -165,11 +165,15 @@ class TestChannelGroups:
         assert all(grp.slots == frozenset({("c", i)})
                    for i, grp in enumerate(sorted(
                        frozen, key=lambda grp: min(ch for _, ch in grp.slots))))
+        with pytest.raises(GraphError):
+            rewrite_remove_channels(g, [("c", 1)])
 
-    def test_flatten_breaks_provenance(self):
+    def test_flatten_repeats_provenance(self):
         g = build_toy_cnn_inception()
         t = channel_provenance(g)
-        assert all(s == -1 for s in t.prov["flat"])
+        # each of the 32 pooled channels becomes 4x4 features, in order
+        assert t.prov["flat"].tolist() == np.repeat(t.prov["pool"], 16).tolist()
+        assert (t.prov["pool"] >= 0).all()
         # dense slots after the flatten are their own groups
         out = t.start[t.layers.index("out")]
         assert t.prov["out"].tolist() == [out + i for i in range(4)]
@@ -276,6 +280,36 @@ class TestRewrite:
         g = build_toy_mlp(hidden=4, seed=0)
         with pytest.raises(GraphError):
             rewrite_remove_channels(g, [("nope", 0)])
+
+    @pytest.mark.parametrize("removal", [("relu1", 0), ("fc1", -1),
+                                         ("fc1", 6)])
+    def test_rejects_a_channel_the_graph_does_not_have(self, removal):
+        # a layer without channels of its own, and channels outside
+        # fc1's 0..5
+        g = build_toy_mlp(hidden=6, seed=0)
+        with pytest.raises(GraphError):
+            rewrite_remove_channels(g, [removal])
+
+    def test_add_after_flatten_ties_each_channel_to_its_features(self):
+        # conv channel i becomes features 4i..4i+3, which the add ties to
+        # those of d
+        g = ModelGraph((3, 2, 2))
+        _conv(g, "c", INPUT, 3, 2, k=1, pad=0)
+        _op(g, "flat", "Flatten", "c")
+        _dense(g, "d", "flat", 8, 8)
+        _op(g, "add", "Add", ["flat", "d"])
+        _dense(g, "out", "add", 8, 3)
+        init_params(g, 0)
+        groups = {grp.slots for grp in build_channel_groups(g)}
+        assert frozenset({("c", 1)} | {("d", j) for j in range(4, 8)}) \
+            in groups
+        with pytest.raises(GraphError):
+            rewrite_remove_channels(g, [("c", 1)])
+        out = rewrite_remove_channels(
+            g, [("c", 1)] + [("d", j) for j in range(4, 8)])
+        assert (out.nodes["d"].attrs["in"], out.nodes["d"].attrs["out"],
+                out.nodes["out"].attrs["in"]) == (4, 4, 4)
+        infer_shapes(out)
 
     def test_original_graph_untouched(self):
         g = build_toy_mlp(hidden=6, seed=0)

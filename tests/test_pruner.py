@@ -22,7 +22,7 @@ from energyprune.toybench import (ToyDatasetSpec, build_reference_arch,
                                   build_toy_densenet_cell, build_toy_mlp,
                                   gen_blobs)
 
-from helpers import (_conv, _dense, _op, reference_channel_groups,
+from helpers import (_bn, _conv, _dense, _op, reference_channel_groups,
                      reference_plan)
 
 
@@ -307,6 +307,19 @@ def _add_on_input():
     return init_params(g, 0)
 
 
+def _add_after_flatten():
+    """A Flatten turns each channel of c into 4 features, which an Add
+    ties to those of d; a BatchNorm runs over the features."""
+    g = ModelGraph((3, 2, 2))
+    _conv(g, "c", INPUT, 3, 2, k=1, pad=0)
+    _op(g, "flat", "Flatten", "c")
+    _bn(g, "bn", "flat", 8)
+    _dense(g, "d", "bn", 8, 8)
+    _op(g, "add", "Add", ["flat", "d"])
+    _dense(g, "fc", "add", 8, 3)
+    return init_params(g, 0)
+
+
 ORACLE_GRAPHS = {
     "toy-cnn-residual": lambda: build_toy_cnn_residual(seed=0),
     "toy-cnn-inception": lambda: build_toy_cnn_inception(seed=0),
@@ -316,6 +329,7 @@ ORACLE_GRAPHS = {
     "toy-mlp": lambda: build_toy_mlp(hidden=8, seed=0),
     "toy-mlp-1": lambda: build_toy_mlp(hidden=1, seed=0),
     "add-on-input": _add_on_input,
+    "add-after-flatten": _add_after_flatten,
 }
 
 

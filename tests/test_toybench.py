@@ -1,5 +1,7 @@
 """Dataset generators and model builders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,31 @@ class TestClassImages:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert np.linalg.norm(means[i] - means[j]) > 1.0
+
+
+# sha256 of each generated dataset's train_x, train_y, test_x and test_y
+# bytes, in that order, as the generators have drawn them
+GENERATED_SHA256 = {
+    "blobs": "b6a98bafeb7682a5fd39f28d0ac8130d160becae8bd300907dadb843df61d565",
+    "blobs-6": "a0c687163687309798dea3b360f80063ba88b1fa6aa4e672fbb7c7131867ef63",
+    "images": "f133caf3772afa17ab1ee5abf60fd11b047c3f515d3be7978e22f8ee94ea185c",
+    "images-3": "315b80909d1e46bf96be9eb1148b1cbbbd2f97af7260245c6d2ee12eed0e5f02",
+}
+
+
+def test_generators_draw_the_pinned_arrays():
+    data = {
+        "blobs": gen_blobs(ToyDatasetSpec(samples_per_class=37, seed=3)),
+        "blobs-6": gen_blobs(ToyDatasetSpec(classes=6, samples_per_class=9,
+                                            test_fraction=0.5, seed=1)),
+        "images": gen_class_images(samples_per_class=11, seed=4),
+        "images-3": gen_class_images(classes=3, samples_per_class=5,
+                                     shape=(2, 5, 5), noise=0.3, seed=2),
+    }
+    got = {name: hashlib.sha256(b"".join(
+        a.tobytes() for a in (d.train_x, d.train_y, d.test_x, d.test_y))
+    ).hexdigest() for name, d in data.items()}
+    assert got == GENERATED_SHA256
 
 
 class TestZoo:
