@@ -101,6 +101,8 @@ def cmd_train(args):
 
 
 def cmd_score(args):
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     g = load_model(args.model)
     x, y = load_dataset(Path(args.data) / "train.csv")
     if args.samples:

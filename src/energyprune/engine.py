@@ -14,7 +14,14 @@ training step and ``metrics.evaluate`` the logits, ``backward`` the
 capture points and the logits, LRP the Dense layers and their inputs.
 Backward reads only the per-node caches, which hold what each node's
 gradient needs (a Dense layer's input by reference, a conv's im2col
-columns), never the activation dict. ``capture_activations`` runs its
+columns), never the activation dict. It drops each cache once its node's
+backward has run, and each node gradient once that node has read it,
+unless the caller asked for that gradient: the training step asks for
+none, gradient capture for the capture points', ``backward`` for every
+node's. ``train`` frees one untouched 16 MiB block before its first step,
+which raises glibc's mmap and trim thresholds above a toy step's buffers,
+so the freed buffers are reused from the heap on the next step instead of
+being mapped and faulted in again. ``capture_activations`` runs its
 samples in chunks of ``CAPTURE_CHUNK`` and copies each chunk's capture
 points into the whole set's arrays, so the memory beyond those arrays
 does not grow with the sample count.
@@ -518,7 +525,8 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
     ``fwd`` keeps the activations of the capture points, the logits and
     the output."""
     keep = [cap for cap, _ in capture_points(g)]
-    return _backprop(g, x, labels, mode, seed, prob_floor=0.0, keep=keep)
+    return _backprop(g, x, labels, mode, seed, prob_floor=0.0, keep=keep,
+                     grads=None)
 
 
 # Softmax probabilities below this are zeroed in the training step only.
@@ -533,7 +541,13 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
 _PROB_FLOOR = 1e-250
 
 
-def _backprop(g, x, labels, mode, seed, prob_floor, keep=()):
+def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=()):
+    """Loss, parameter gradients, node gradients and the forward pass.
+    ``grads`` names the nodes whose gradients are returned, or is None for
+    every node's. Each node's cache is dropped once its backward has run,
+    and each gradient not returned once its node has read it, so the step
+    holds the caches of the nodes not yet reached and the gradients in
+    flight, not the whole graph's."""
     labels = np.asarray(labels, dtype=np.intp)
     lid = logits_node(g)
     fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True,
@@ -546,14 +560,19 @@ def _backprop(g, x, labels, mode, seed, prob_floor, keep=()):
 
     # Only ancestors of the logits ever receive a gradient; every other
     # node is skipped.
+    wanted = None if grads is None else set(grads)
     node_grads: dict = {lid: dlogits}
     param_grads: dict = {}
     for nid in reversed(g.nodes):
-        grad = node_grads.get(nid)
+        cache = fwd.caches.pop(nid)
+        if wanted is None or nid in wanted:
+            grad = node_grads.get(nid)
+        else:
+            grad = node_grads.pop(nid, None)
         if grad is None:
             continue
         node = g.nodes[nid]
-        in_grads = _backward_node(node, grad, fwd.caches[nid], param_grads,
+        in_grads = _backward_node(node, grad, cache, param_grads,
                                   input_grad=node.inputs != [INPUT])
         for src, ig in zip(node.inputs, in_grads):
             if src == INPUT:
@@ -616,7 +635,8 @@ def capture_activations(g: ModelGraph, samples: np.ndarray,
     if want_grads:
         if labels is None:
             raise ValueError("gradient capture needs labels")
-        _, _, node_grads, fwd = backward(g, samples, labels, mode="eval", seed=seed)
+        _, _, node_grads, fwd = _backprop(g, samples, labels, "eval", seed,
+                                          prob_floor=0.0, keep=caps, grads=caps)
         values = {cap: fwd.activations[cap] for cap in caps}
     else:
         n = len(samples)
@@ -704,6 +724,15 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     since_best = 0
     history = []
     step_seed = cfg.seed + 1
+
+    # Keep the step's freed buffers in the process. Per mallopt(3), glibc
+    # raises its dynamic mmap threshold to the size of each mmapped block
+    # freed (up to 32 MiB on 64-bit) and its trim threshold to twice that.
+    # Freeing one untouched 16 MiB block lifts the first above every buffer
+    # of a toy step, and the second above what one step frees, so the next
+    # step takes those buffers back from the heap instead of mapping and
+    # faulting them in again. Nothing is computed differently.
+    np.empty(16 * 2**20, dtype=np.uint8)
 
     for epoch in range(cfg.max_epochs):
         lr = _epoch_lr(cfg, epoch)

@@ -200,6 +200,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--scores" in err and "--data" in err
 
+    # --samples 0 once scored every sample and --samples -50 dropped the
+    # last 50, both with exit 0
+    @pytest.mark.parametrize("samples", ["0", "-50"])
+    def test_non_positive_sample_count_is_config_error(self, workdir, tmp_path,
+                                                       capsys, samples):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kind", "blobs", "--samples-per-class", "20",
+                     "--seed", "1", "--out", str(data)]) == 0
+        out = tmp_path / "s.tsv"
+        assert main(["score", "--model", str(workdir / "model.json"),
+                     "--data", str(data), "--samples", samples,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_plan_is_config_error(self, workdir, tmp_path):
         # an unreachable global threshold is a planning error
         assert main(["prune", "--model", str(workdir / "model.json"),
