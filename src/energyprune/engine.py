@@ -21,10 +21,10 @@ none, gradient capture for the capture points', ``backward`` for every
 node's. ``train`` frees one untouched 16 MiB block before its first step,
 which raises glibc's mmap and trim thresholds above a toy step's buffers,
 so the freed buffers are reused from the heap on the next step instead of
-being mapped and faulted in again. ``capture_activations`` runs its
-samples in chunks of ``CAPTURE_CHUNK`` and copies each chunk's capture
-points into the whole set's arrays, so the memory beyond those arrays
-does not grow with the sample count.
+being mapped and faulted in again. ``capture_activations`` runs in chunks
+of ``CAPTURE_CHUNK`` samples, with gradients or without, and copies each
+chunk's capture points and gradients into the whole set's arrays, so the
+memory beyond those arrays does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -541,13 +541,13 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
 _PROB_FLOOR = 1e-250
 
 
-def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=()):
+def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=(), set_size=None):
     """Loss, parameter gradients, node gradients and the forward pass.
     ``grads`` names the nodes whose gradients are returned, or is None for
     every node's. Each node's cache is dropped once its backward has run,
     and each gradient not returned once its node has read it, so the step
-    holds the caches of the nodes not yet reached and the gradients in
-    flight, not the whole graph's."""
+    holds only the caches and gradients still to be read. A chunk of a
+    larger set passes its ``set_size`` to divide the loss gradient by."""
     labels = np.asarray(labels, dtype=np.intp)
     lid = logits_node(g)
     fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True,
@@ -556,7 +556,7 @@ def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=()):
     if prob_floor:
         np.copyto(dlogits, 0.0, where=dlogits < prob_floor)
     dlogits[np.arange(len(labels)), labels] -= 1.0
-    dlogits /= len(labels)
+    dlogits /= set_size or len(labels)
 
     # Only ancestors of the logits ever receive a gradient; every other
     # node is skipped.
@@ -613,10 +613,11 @@ def _trace_producer(g: ModelGraph, src: str):
     return None
 
 
-# Samples per forward of an activation-only capture. The capture points
-# of one chunk are the only activations it keeps, and they are copied into
-# the whole set's arrays at once; per sample they match a single forward
-# over all samples bit for bit.
+# Samples per capture pass, a forward or an eval-mode backward. Per sample
+# the chunks match one pass over the set bit for bit: in eval mode a sample's
+# pass reads only that sample, each chunk divides its loss gradient by the
+# set's count, and the last chunk takes the remainder, whose few rows BLAS
+# would round on other kernels (gemv for one row, small-matrix kernels).
 CAPTURE_CHUNK = 64
 
 
@@ -626,39 +627,41 @@ def capture_activations(g: ModelGraph, samples: np.ndarray,
     """Eval-mode capture of post-BN / post-bias activations.
 
     Returns records, or (records, grad_records) when ``want_grads`` is
-    set (which requires labels for the loss). Without gradients the
-    samples run in chunks of ``CAPTURE_CHUNK``; with them, in one
-    ``backward``, whose mean loss spans the whole set.
-    """
+    set (which requires one label per sample for the loss). The samples
+    run in chunks of ``CAPTURE_CHUNK``, each one ``forward`` or, with
+    gradients, one backward of its share of the whole set's mean loss."""
     points = capture_points(g)
     caps = [cap for cap, _ in points]
-    if want_grads:
-        if labels is None:
-            raise ValueError("gradient capture needs labels")
-        _, _, node_grads, fwd = _backprop(g, samples, labels, "eval", seed,
-                                          prob_floor=0.0, keep=caps, grads=caps)
-        values = {cap: fwd.activations[cap] for cap in caps}
-    else:
-        n = len(samples)
-        for i in range(0, n, CAPTURE_CHUNK) or [0]:
-            acts = forward(g, samples[i:i + CAPTURE_CHUNK], mode="eval",
-                           seed=seed, keep=caps).activations
-            if n <= CAPTURE_CHUNK:
-                values = acts
-            else:
-                if i == 0:  # laid out as one forward would lay them out
-                    values = {cap: np.empty_like(acts[cap],
-                                                 shape=(n,) + acts[cap].shape[1:])
-                              for cap in caps}
-                for cap in caps:
-                    values[cap][i:i + CAPTURE_CHUNK] = acts[cap]
-            del acts  # before the next chunk's forward
+    n = len(samples)
+    if want_grads and (labels is None or len(labels) != n):
+        raise ValueError(f"gradient capture needs one label per sample: got "
+                         f"{0 if labels is None else len(labels)} for {n} samples")
+    values, grads = {}, {}
+    chunks = max(1, n // CAPTURE_CHUNK)  # the last one takes the remainder
+    for j in range(chunks):
+        rows = slice(j * CAPTURE_CHUNK, n if j == chunks - 1 else (j + 1) * CAPTURE_CHUNK)
+        if want_grads:
+            _, _, chunk_grads, fwd = _backprop(
+                g, samples[rows], labels[rows], "eval", seed, prob_floor=0.0,
+                keep=caps, grads=caps, set_size=n)
+        else:
+            fwd, chunk_grads = forward(g, samples[rows], seed=seed, keep=caps), {}
+        for whole, part in ((values, fwd.activations), (grads, chunk_grads)):
+            for cap in filter(part.__contains__, caps):
+                if chunks == 1:
+                    whole[cap] = part[cap]
+                else:
+                    if j == 0:  # laid out as one pass would lay them out
+                        whole[cap] = np.empty_like(
+                            part[cap], shape=(n,) + part[cap].shape[1:])
+                    whole[cap][rows] = part[cap]
+        del fwd, chunk_grads, part  # before the next chunk's pass
     records = [ActivationRecord(layer_id=prod, capture_id=cap, values=values[cap])
                for cap, prod in points]
     if not want_grads:
         return records
     grads = [GradientRecord(layer_id=prod, capture_id=cap,
-                            values=node_grads.get(cap, np.zeros_like(values[cap])))
+                            values=grads.get(cap, np.zeros_like(values[cap])))
              for cap, prod in points]
     return records, grads
 

@@ -126,6 +126,9 @@ def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
     from .linalg import make_rng
 
     sizes = sorted(int(b) for b in batch_sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
+        raise ValueError("stability needs two or more distinct sizes >= 1, got "
+                         + ",".join(map(str, sizes)))
     if sizes[-1] > len(samples):
         raise ValueError("largest batch size exceeds the sample pool")
     layers = select_stability_layers(g)

@@ -322,6 +322,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--model" in err and "--data" in err
 
+    # "4" printed an empty table and "4,4" a set compared with itself, both
+    # with exit 0; "0,4" failed on an empty record of a layer
+    @pytest.mark.parametrize("sizes", ["4", "4,4", "0,4", "-4,8"])
+    def test_senseless_stability_sizes_are_config_error(self, workdir, capsys,
+                                                        sizes):
+        assert main(["stability", "--model", str(workdir / "model.json"),
+                     "--data", str(workdir / "data"),
+                     f"--sizes={sizes}"]) == EXIT_CONFIG
+        assert f"sizes >= 1, got {sizes}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("label", ["inf", "1e400", "1.5"])
     def test_non_integer_label_is_data_error(self, workdir, tmp_path, label):
         data = tmp_path / "data"

@@ -525,6 +525,9 @@ class TestCapture:
         x = make_rng(1).normal(size=(4, 2))
         with pytest.raises(ValueError):
             capture_activations(g, x, want_grads=True)
+        # the labels are sliced chunk by chunk with the samples
+        with pytest.raises(ValueError, match="got 3 for 4 samples"):
+            capture_activations(g, x, want_grads=True, labels=np.array([0, 1, 2]))
         records, grads = capture_activations(g, x, want_grads=True,
                                              labels=np.array([0, 1, 2, 3]))
         assert [g_.layer_id for g_ in grads] == [r.layer_id for r in records]
@@ -686,6 +689,7 @@ class TestLiveness:
 
 
 _CHUNK_MODELS = {"resnet56": lambda: init_params(build_reference_arch("resnet56"), 0),
+                 "toy-mlp": lambda: build_toy_mlp(seed=0),
                  **{name: lambda b=b: b(4, 0) for name, b in ZOO_BUILDERS.items()}}
 
 
@@ -694,14 +698,23 @@ _CHUNK_MODELS = {"resnet56": lambda: init_params(build_reference_arch("resnet56"
 def test_chunked_capture_equals_one_call(monkeypatch, name, n):
     g = _CHUNK_MODELS[name]()
     x = make_rng(n).normal(size=(n,) + g.input_shape)
-    monkeypatch.setattr(engine, "CAPTURE_CHUNK", n)
-    whole = capture_activations(g, x)
-    monkeypatch.setattr(engine, "CAPTURE_CHUNK", 5)  # uneven: 16 = 3 * 5 + 1
-    chunked = capture_activations(g, x)
-    assert [r.capture_id for r in chunked] == [r.capture_id for r in whole]
-    for a, b in zip(whole, chunked):
-        assert np.array_equal(a.values, b.values), a.capture_id
-        assert a.values.strides == b.values.strides, a.capture_id
+    # gradients at n = 16 only: one 64-image ResNet-56 backward takes ~2.9 GB
+    grads = {"labels": np.arange(n) % 4, "want_grads": True}
+    for kw in [{}] + [grads] * (n == 16):
+        monkeypatch.setattr(engine, "CAPTURE_CHUNK", n)
+        whole = capture_activations(g, x, **kw)
+        # uneven: 16 = 5 + 5 + 6, as the last chunk takes the remainder. A
+        # lone 16th sample would change bits: BLAS computes a one-row matmul
+        # (the MLP's layers, every model's logits) as a gemv, which rounds
+        # otherwise.
+        monkeypatch.setattr(engine, "CAPTURE_CHUNK", 5)
+        chunked = capture_activations(g, x, **kw)
+        if kw:  # the records, then the gradient records
+            whole, chunked = whole[0] + whole[1], chunked[0] + chunked[1]
+        assert [r.capture_id for r in chunked] == [r.capture_id for r in whole]
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a.values, b.values), a.capture_id
+            assert a.values.strides == b.values.strides, a.capture_id
 
 
 def _train_digest(g, history):
@@ -802,3 +815,20 @@ def test_resnet56_gradient_capture_at_32x32_stays_under_800_mib():
         tracemalloc.stop()
     assert len(records) == len(grads) == len(capture_points(g))
     assert peak < 800 * 2**20, f"{peak / 2**20:.0f} MiB"
+
+
+def test_resnet56_gradient_capture_in_chunks_of_4_stays_under_450_mib(monkeypatch):
+    # one backward over the 16 images traced 717 MiB here; 4 chunks of 4,
+    # 319 MiB, of which 133 MiB are the records and gradients
+    monkeypatch.setattr(engine, "CAPTURE_CHUNK", 4)
+    g = init_params(build_reference_arch("resnet56"), 0)
+    x = make_rng(0).normal(size=(16, 3, 32, 32))
+    y = np.arange(16) % 10
+    tracemalloc.start()
+    try:
+        records, grads = capture_activations(g, x, labels=y, want_grads=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(grads) == len(capture_points(g))
+    assert peak < 450 * 2**20, f"{peak / 2**20:.0f} MiB"

@@ -140,6 +140,17 @@ class TestStability:
         again = stability_curve(g, samples, "nuclear", (2, 4, 8), seed=0)
         assert rows == again
 
+    # one size gave no rows, a repeated one compared a set with itself, and
+    # -4 scored all but the last 4 samples of the pool
+    @pytest.mark.parametrize("sizes", [(4,), (4, 4), (0, 4), (-4, 8), ()],
+                             ids=["one", "repeated", "zero", "negative", "none"])
+    def test_sizes_are_two_or_more_distinct_counts(self, sizes):
+        g = build_toy_cnn_plain()
+        samples = make_rng(0).normal(size=(8, 3, 8, 8))
+        with pytest.raises(ValueError, match="sizes >= 1, got " + ",".join(
+                map(str, sorted(sizes))) + "$"):
+            stability_curve(g, samples, "nuclear", sizes)
+
     def test_pool_too_small(self):
         g = build_toy_cnn_plain()
         samples = make_rng(0).normal(size=(4, 3, 8, 8))
