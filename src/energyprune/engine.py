@@ -633,9 +633,11 @@ def capture_activations(g: ModelGraph, samples: np.ndarray,
     points = capture_points(g)
     caps = [cap for cap, _ in points]
     n = len(samples)
-    if want_grads and (labels is None or len(labels) != n):
-        raise ValueError(f"gradient capture needs one label per sample: got "
-                         f"{0 if labels is None else len(labels)} for {n} samples")
+    if want_grads:  # every label, before the first chunk runs
+        if labels is None or len(labels) != n:
+            raise ValueError(f"gradient capture needs one label per sample: got "
+                             f"{0 if labels is None else len(labels)} for {n} samples")
+        _check_labels(np.asarray(labels, np.intp), infer_shapes(g)[logits_node(g)][0])
     values, grads = {}, {}
     chunks = max(1, n // CAPTURE_CHUNK)  # the last one takes the remainder
     for j in range(chunks):

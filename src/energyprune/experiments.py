@@ -18,7 +18,7 @@ from .engine import TrainConfig, train
 from .linalg import make_rng
 from .metrics import (count_complexity, evaluate, kendall_distance,
                       ranking_from_scores, select_stability_layers,
-                      stability_curve)
+                      stability_curve, stability_sizes)
 from .pruner import PruningSpec, execute, plan
 from .toybench import (SELECT_BATCHES, ToyDatasetSpec, ZOO_BUILDERS,
                        build_toy_mlp, gen_blobs, gen_class_images,
@@ -104,6 +104,7 @@ def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
     consecutive sizes, on 4 evenly spaced layers. ``model`` and ``data``
     (samples, labels) default to a trained toy-cnn-plain and a fresh
     pool of ``STABILITY_POOL`` images."""
+    stability_sizes(sizes)  # before a default model is trained
     if model is None:
         model, _ = _trained_toy_cnn(seed)
         pool = gen_class_images(classes=4,

@@ -114,6 +114,16 @@ def select_stability_layers(g: ModelGraph, n_layers: int = 4) -> list[str]:
     return [layers[i] for i in sorted(set(idx))]
 
 
+def stability_sizes(batch_sizes) -> list[int]:
+    """The sizes sorted, or ValueError unless they are two or more
+    distinct counts >= 1."""
+    sizes = sorted(int(b) for b in batch_sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
+        raise ValueError("stability needs two or more distinct sizes >= 1, got "
+                         + ",".join(map(str, sizes)))
+    return sizes
+
+
 def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
                     batch_sizes, seed: int = 0, labels=None):
     """Kendall distance between the rankings from nested sample subsets
@@ -125,10 +135,7 @@ def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
     from .criteria import compute_scores
     from .linalg import make_rng
 
-    sizes = sorted(int(b) for b in batch_sizes)
-    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
-        raise ValueError("stability needs two or more distinct sizes >= 1, got "
-                         + ",".join(map(str, sizes)))
+    sizes = stability_sizes(batch_sizes)
     if sizes[-1] > len(samples):
         raise ValueError("largest batch size exceeds the sample pool")
     layers = select_stability_layers(g)

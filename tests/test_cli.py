@@ -323,13 +323,19 @@ class TestExitCodes:
         assert "--model" in err and "--data" in err
 
     # "4" printed an empty table and "4,4" a set compared with itself, both
-    # with exit 0; "0,4" failed on an empty record of a layer
+    # with exit 0; "0,4" failed on an empty record of a layer. Without
+    # --model the sizes are checked before the default model is trained.
+    @pytest.mark.parametrize("given_model", [True, False],
+                             ids=["model", "default-model"])
     @pytest.mark.parametrize("sizes", ["4", "4,4", "0,4", "-4,8"])
-    def test_senseless_stability_sizes_are_config_error(self, workdir, capsys,
-                                                        sizes):
-        assert main(["stability", "--model", str(workdir / "model.json"),
-                     "--data", str(workdir / "data"),
-                     f"--sizes={sizes}"]) == EXIT_CONFIG
+    def test_senseless_stability_sizes_are_config_error(
+            self, workdir, capsys, monkeypatch, sizes, given_model):
+        monkeypatch.setattr("energyprune.experiments._trained_toy_cnn",
+                            lambda seed: pytest.fail("trained before the "
+                                                     "sizes were checked"))
+        paths = (["--model", str(workdir / "model.json"),
+                  "--data", str(workdir / "data")] if given_model else [])
+        assert main(["stability", *paths, f"--sizes={sizes}"]) == EXIT_CONFIG
         assert f"sizes >= 1, got {sizes}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["inf", "1e400", "1.5"])

@@ -520,7 +520,7 @@ class TestCapture:
         # pre-ReLU capture: fc1 output can be negative
         assert records[0].values.min() < 0
 
-    def test_gradient_capture_needs_labels(self):
+    def test_gradient_capture_needs_labels(self, monkeypatch):
         g = build_toy_mlp(hidden=5)
         x = make_rng(1).normal(size=(4, 2))
         with pytest.raises(ValueError):
@@ -533,6 +533,14 @@ class TestCapture:
         assert [g_.layer_id for g_ in grads] == [r.layer_id for r in records]
         assert all(g_.values.shape == r.values.shape
                    for g_, r in zip(grads, records))
+        # every label is checked before the first chunk runs
+        x = make_rng(1).normal(size=(6, 2))
+        monkeypatch.setattr(engine, "CAPTURE_CHUNK", 2)
+        monkeypatch.setattr(engine, "_backprop", lambda *a, **k: pytest.fail(
+            "a chunk ran before the labels were checked"))
+        with pytest.raises(LabelError, match="span 0..7, the model has 4"):
+            capture_activations(g, x, want_grads=True,
+                                labels=np.array([0, 1, 2, 3, 0, 7]))
 
     def test_channel_matrix_layout(self):
         g = build_toy_cnn_plain()
