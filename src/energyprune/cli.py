@@ -115,6 +115,10 @@ def cmd_score(args):
 def cmd_prune(args):
     if not (args.scores or args.data):
         raise ValueError("prune needs a score source: --scores or --data")
+    own, other = ("threshold", "ratio") if args.mode == "global" \
+        else ("ratio", "threshold")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--mode {args.mode} takes --{own}, not --{other}")
     g = load_model(args.model)
     if args.scores:
         table = read_score_table(args.scores)
@@ -125,8 +129,9 @@ def cmd_prune(args):
     else:
         x, y = load_dataset(Path(args.data) / "train.csv")
         table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
-    spec = PruningSpec(mode=args.mode, ratio=args.ratio,
-                       threshold=args.threshold, criterion=table.criterion)
+    spec = PruningSpec(mode=args.mode, ratio=args.ratio or 0.0,
+                       threshold=args.threshold or 0.0,
+                       criterion=table.criterion)
     p = plan(g, table, spec)
     pruned = execute(g, p)
     save_model(pruned, args.out)
@@ -230,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset dir for inline scoring")
     p.add_argument("--criterion", choices=CRITERIA, default="nuclear")
     p.add_argument("--mode", choices=["global", "per-layer"], default="global")
-    p.add_argument("--ratio", type=float, default=0.0)
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--ratio", type=float,
+                   help="per-layer mode: fraction of each layer to remove")
+    p.add_argument("--threshold", type=float,
+                   help="global mode: fraction of all prunable channels")
     p.add_argument("--plan", help="write the auditable plan TSV here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -81,13 +81,32 @@ def _drain(items: list):
         yield items.pop()
 
 
+# Bytes of |w| that score_weight holds at a time: whole rows, reused
+# from block to block and layer to layer.
+_WEIGHT_BLOCK_BYTES = 256 * 1024
+
+
 def score_weight(g: ModelGraph) -> ScoreTable:
     """L1 magnitude: sum |w| over each channel's kernel slice (conv) or
-    incoming row (dense)."""
+    incoming row (dense).
+
+    The rows run in blocks through one buffer of ``_WEIGHT_BLOCK_BYTES``,
+    so no temporary the size of a layer is made; a row wider than the
+    buffer gets one of its own. Each row is still one contiguous sum, so
+    the scores are those of ``np.abs(w).reshape(C, -1).sum(axis=1)``."""
     table = ScoreTable(criterion="weight")
+    buf = np.empty(_WEIGHT_BLOCK_BYTES // 8)
     for lid in scored_layers(g):
         w = g.nodes[lid].params["w"]
-        table.scores[lid] = np.abs(w).reshape(w.shape[0], -1).sum(axis=1)
+        rows = w.reshape(w.shape[0], -1)
+        step = max(1, buf.size // rows.shape[1])
+        scores = np.empty(rows.shape[0])
+        for i in range(0, rows.shape[0], step):
+            part = rows[i:i + step]
+            absval = np.abs(part, out=buf[:part.size].reshape(part.shape)) \
+                if part.size <= buf.size else np.abs(part)
+            np.add.reduce(absval, axis=1, out=scores[i:i + step])
+        table.scores[lid] = scores
     return table.validate()
 
 

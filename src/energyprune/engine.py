@@ -314,23 +314,25 @@ def _conv_input_grad(grad, w, x_shape, stride, pad):
 
 
 def _backward_node(node, grad, cache, param_grads, input_grad=True):
-    """Returns one gradient per input of the node; a Conv2D returns
-    [None] when ``input_grad`` is off."""
+    """Returns one gradient per input of the node, and adds the node's
+    parameter gradients to ``param_grads`` unless it is None. A Conv2D
+    returns [None] when ``input_grad`` is off."""
     k = node.kind
     if k == "Dense":
-        x = cache["x"]
-        param_grads[(node.id, "w")] = grad.T @ x
-        param_grads[(node.id, "b")] = grad.sum(axis=0)
+        if param_grads is not None:
+            param_grads[(node.id, "w")] = grad.T @ cache["x"]
+            param_grads[(node.id, "b")] = grad.sum(axis=0)
         return [grad @ node.params["w"]]
     if k == "Conv2D":
-        cols = cache["cols"]  # (N, C*k*k, Ho*Wo)
-        n, cout, ho, wo = grad.shape
         w = node.params["w"]
-        g = grad.reshape(n, cout, ho * wo)
-        gw = g @ cols.transpose(0, 2, 1)  # (N, Cout, C*k*k)
-        param_grads[(node.id, "w")] = gw.sum(axis=0).reshape(w.shape)
-        if "b" in node.params:
-            param_grads[(node.id, "b")] = g.sum(axis=(0, 2))
+        if param_grads is not None:
+            cols = cache["cols"]  # (N, C*k*k, Ho*Wo)
+            n, cout, ho, wo = grad.shape
+            g = grad.reshape(n, cout, ho * wo)
+            gw = g @ cols.transpose(0, 2, 1)  # (N, Cout, C*k*k)
+            param_grads[(node.id, "w")] = gw.sum(axis=0).reshape(w.shape)
+            if "b" in node.params:
+                param_grads[(node.id, "b")] = g.sum(axis=(0, 2))
         if not input_grad:
             return [None]
         return [_conv_input_grad(grad, w, cache["x_shape"], node.attrs["stride"],
@@ -338,9 +340,11 @@ def _backward_node(node, grad, cache, param_grads, input_grad=True):
     if k == "BatchNorm":
         xhat, inv, axes, shape = cache["xhat"], cache["inv"], cache["axes"], cache["shape"]
         gamma = node.params["gamma"]
-        buf = grad * xhat
-        param_grads[(node.id, "gamma")] = buf.sum(axis=axes)
-        param_grads[(node.id, "beta")] = grad.sum(axis=axes)
+        if param_grads is not None or cache["mode"] == "train":
+            buf = grad * xhat  # train mode reuses it as scratch below
+        if param_grads is not None:
+            param_grads[(node.id, "gamma")] = buf.sum(axis=axes)
+            param_grads[(node.id, "beta")] = grad.sum(axis=axes)
         gx = grad * gamma.reshape(shape)
         if cache["mode"] == "train":
             # gxhat - mean(gxhat) - xhat * sum(gxhat * xhat) / count in
@@ -541,13 +545,16 @@ def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,
 _PROB_FLOOR = 1e-250
 
 
-def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=(), set_size=None):
+def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=(),
+              set_size=None, params=True):
     """Loss, parameter gradients, node gradients and the forward pass.
     ``grads`` names the nodes whose gradients are returned, or is None for
     every node's. Each node's cache is dropped once its backward has run,
     and each gradient not returned once its node has read it, so the step
     holds only the caches and gradients still to be read. A chunk of a
-    larger set passes its ``set_size`` to divide the loss gradient by."""
+    larger set passes its ``set_size`` to divide the loss gradient by.
+    With ``params`` off no parameter gradient is formed, and an empty
+    dict is returned for them."""
     labels = np.asarray(labels, dtype=np.intp)
     lid = logits_node(g)
     fwd = forward(g, x, mode=mode, seed=seed, keep_caches=True,
@@ -562,7 +569,7 @@ def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=(), set_size=
     # node is skipped.
     wanted = None if grads is None else set(grads)
     node_grads: dict = {lid: dlogits}
-    param_grads: dict = {}
+    param_grads = {} if params else None
     for nid in reversed(g.nodes):
         cache = fwd.caches.pop(nid)
         if wanted is None or nid in wanted:
@@ -581,7 +588,7 @@ def _backprop(g, x, labels, mode, seed, prob_floor, keep=(), grads=(), set_size=
                 node_grads[src] = node_grads[src] + ig
             else:
                 node_grads[src] = ig
-    return loss, param_grads, node_grads, fwd
+    return loss, param_grads or {}, node_grads, fwd
 
 
 # --- activation capture -------------------------------------------------
@@ -629,7 +636,8 @@ def capture_activations(g: ModelGraph, samples: np.ndarray,
     Returns records, or (records, grad_records) when ``want_grads`` is
     set (which requires one label per sample for the loss). The samples
     run in chunks of ``CAPTURE_CHUNK``, each one ``forward`` or, with
-    gradients, one backward of its share of the whole set's mean loss."""
+    gradients, one backward of its share of the whole set's mean loss
+    that forms no parameter gradient."""
     points = capture_points(g)
     caps = [cap for cap, _ in points]
     n = len(samples)
@@ -645,7 +653,7 @@ def capture_activations(g: ModelGraph, samples: np.ndarray,
         if want_grads:
             _, _, chunk_grads, fwd = _backprop(
                 g, samples[rows], labels[rows], "eval", seed, prob_floor=0.0,
-                keep=caps, grads=caps, set_size=n)
+                keep=caps, grads=caps, set_size=n, params=False)
         else:
             fwd, chunk_grads = forward(g, samples[rows], seed=seed, keep=caps), {}
         for whole, part in ((values, fwd.activations), (grads, chunk_grads)):

@@ -7,10 +7,13 @@ with the graph input's entry. Channel provenance numbers every
 Dense/Conv2D output channel once as a slot, records the slot each
 node's channels (or features) come from, and groups the slots residual
 adds tie by min-label propagation; it is the one place that says how
-channels flow through a node kind. ``rewrite_remove_channels`` keeps,
-at every node, the channels whose slot is not removed, slicing each
-tensor into a genuinely smaller graph whose forward pass matches the
-masked original.
+channels flow through a node kind. The rewrite keeps, at every node,
+the channels whose slot is not removed, slicing each tensor into a
+genuinely smaller graph whose forward pass matches the masked original.
+It has one body, ``_rewrite``, which reads a slot table and a per-slot
+removal mask: ``rewrite_remove_channels`` validates a set of
+(layer, channel) removals against a fresh table and calls it, and
+``pruner.execute`` calls it on the table and mask its plan already holds.
 """
 
 from __future__ import annotations
@@ -190,6 +193,7 @@ class ChannelSlots(NamedTuple):
     #             it comes from the graph input
     gid: np.ndarray  # slot -> group id
     prunable: np.ndarray  # group id -> not tied to graph-input channels
+    structure: tuple  # _structure of the graph the table was built from
 
     def groups(self, gids) -> list[ChannelGroup]:
         """The ChannelGroup of each listed group id, in the listed order."""
@@ -218,6 +222,13 @@ def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _structure(g: ModelGraph) -> tuple:
+    """Everything a slot table is derived from: the input shape and, in
+    order, each node's id, kind, attributes and inputs."""
+    return g.input_shape, tuple((nid, n.kind, dict(n.attrs), tuple(n.inputs))
+                                for nid, n in g.nodes.items())
 
 
 def channel_provenance(g: ModelGraph) -> ChannelSlots:
@@ -263,7 +274,7 @@ def channel_provenance(g: ModelGraph) -> ChannelSlots:
     return ChannelSlots(
         layers=layers, start=np.concatenate(([0], np.cumsum(widths, dtype=int))),
         layer=np.repeat(np.arange(len(layers)), widths), prov=prov,
-        gid=gid, prunable=prunable)
+        gid=gid, prunable=prunable, structure=_structure(g))
 
 
 def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:
@@ -306,6 +317,17 @@ def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
                          f"channel groups: the group of ({t.layers[i]!r}, "
                          f"{s - t.start[i]}) is split or tied to the graph "
                          "input")
+    return _rewrite(g, t, gone)
+
+
+def _rewrite(g: ModelGraph, t: ChannelSlots, gone: np.ndarray) -> ModelGraph:
+    """The rewrite body: g without the slots of its slot table t that
+    ``gone`` marks (one entry per slot, then False for slot -1), which
+    must be a union of whole prunable groups. A table built for another
+    graph is refused before any tensor is copied."""
+    if t.structure != _structure(g):
+        raise GraphError("the slot table was built for another graph: its "
+                         "nodes, attributes or wiring differ from this one's")
     out = ModelGraph(g.input_shape)
     for node in g.nodes.values():
         attrs = dict(node.attrs)

@@ -284,18 +284,27 @@ SCORE_HEADER = ("layer", "channel", "score", "criterion", "n_samples", "seed")
 
 def read_score_table(path) -> ScoreTable:
     """The ScoreTable a SCORE_HEADER report holds; every layer must list
-    channels 0..C-1 without a gap, with finite non-negative scores."""
+    channels 0..C-1 once each, without a gap, with finite non-negative
+    scores, and every row must name the first row's criterion, sample
+    count and seed."""
     header, rows = read_tsv(path)
     if header != list(SCORE_HEADER):
         raise DataFormatError(f"{path}: not a score table")
     table = ScoreTable(criterion="unknown")
     per_layer: dict = {}
     try:
-        for lid, ch, score, criterion, n, seed in rows:
-            per_layer.setdefault(lid, {})[int(ch)] = float(score)
-            table.criterion = criterion
-            table.n_samples = int(n)
-            table.seed = int(seed)
+        for k, (lid, ch, score, criterion, n, seed) in enumerate(rows, 1):
+            vals, ch = per_layer.setdefault(lid, {}), int(ch)
+            if ch in vals:
+                raise ValueError(f"row {k} repeats layer {lid!r} channel {ch}")
+            vals[ch] = float(score)
+            run = (criterion, int(n), int(seed))
+            if k == 1:
+                table.criterion, table.n_samples, table.seed = run
+            elif run != (table.criterion, table.n_samples, table.seed):
+                raise ValueError(
+                    f"row {k} has criterion, n_samples, seed {run}; row 1 "
+                    f"has {(table.criterion, table.n_samples, table.seed)}")
         for lid, vals in per_layer.items():
             if sorted(vals) != list(range(len(vals))):
                 raise ValueError(f"channels of layer {lid!r} are not 0..C-1")

@@ -4,9 +4,11 @@ Planning works on the graph's channel-slot arrays: it scores each
 removal group by its lowest member score, ranks groups, and removes the
 lowest until the per-layer ratio or global threshold is met. It predicts
 the pruned shapes, FLOPs and parameters from the slots each node keeps,
-copying no tensor. Execution is the one structural rewrite, and
-it cross-checks what it measures on the rewritten graph against those
-predictions.
+copying no tensor. The plan keeps the slot table and the per-slot
+removal mask it planned on, so execution runs the one structural rewrite
+(``graph._rewrite``) straight from them, without rebuilding the table or
+turning channels back into slots; it then cross-checks what it measures
+on the rewritten graph against the predictions.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .criteria import ScoreTable, compute_scores, normalize_layer_l2
 from .engine import TrainConfig, logits_node, train
-from .graph import (ChannelSlots, ModelGraph, channel_provenance,
-                    infer_shapes, rewrite_remove_channels)
+from .graph import (ChannelSlots, ModelGraph, _rewrite, channel_provenance,
+                    infer_shapes)
 from .metrics import UNCOUNTED_PARAMS, count_complexity
 
 
@@ -60,6 +62,10 @@ class PruningPlan:
     predicted_params: int
     baseline_flops: int
     baseline_params: int
+    # the slot table of the graph the plan was made for, and per slot of
+    # it, then for slot -1, whether the plan removes it
+    slots: ChannelSlots = field(repr=False, compare=False)
+    gone: np.ndarray = field(repr=False, compare=False)
 
     @property
     def removed_slots(self) -> set:
@@ -206,7 +212,8 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
         removals=[(grp, float(gscore[grp.gid])) for grp in t.groups(picked)],
         predicted_shapes=shapes, predicted_flops=flops,
         predicted_params=params,
-        baseline_flops=base.flops, baseline_params=base.params)
+        baseline_flops=base.flops, baseline_params=base.params,
+        slots=t, gone=gone)
 
 
 def _predict(g: ModelGraph, t: ChannelSlots,
@@ -238,8 +245,11 @@ def _predict(g: ModelGraph, t: ChannelSlots,
 
 def execute(g: ModelGraph, pruning_plan: PruningPlan) -> ModelGraph:
     """Apply the plan and verify shapes and complexity against its
-    predictions."""
-    pruned = rewrite_remove_channels(g, pruning_plan.removed_slots)
+    predictions. The rewrite reads the plan's own slot table and removal
+    mask; a graph other than the one the plan was made for (other
+    nodes, attributes or wiring) raises GraphError before any tensor is
+    copied."""
+    pruned = _rewrite(g, pruning_plan.slots, pruning_plan.gone)
     shapes = infer_shapes(pruned)
     if shapes != pruning_plan.predicted_shapes:
         raise ConsistencyError("post-prune shapes disagree with plan")

@@ -170,10 +170,50 @@ class TestExitCodes:
             ["\t".join(SCORE_HEADER)]
             + [f"{lid}\t{ch}\t{ch + 1}\tweight\t8\t0"
                for lid in ("nope", "fc9") for ch in range(8)]) + "\n")
+        flag = "--threshold" if mode == "global" else "--ratio"
         assert main(["prune", "--model", str(model), "--scores", str(scores),
-                     "--mode", mode, "--ratio", "0.5", "--threshold", "0.5",
+                     "--mode", mode, flag, "0.5",
                      "--out", str(tmp_path / "p.json")]) == EXIT_DATA
         assert "'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last, row", [
+        (["fc3\t7\t8\tweight\t8\t0", "fc1\t0\t99.0\tweight\t8\t0"], 25),
+        (["fc3\t7\t8\tnuclear\t8\t0"], 24),
+        (["fc3\t7\t8\tweight\t9\t0"], 24),
+        (["fc3\t7\t8\tweight\t8\t1"], 24),
+    ], ids=["repeated-channel", "mixed-criteria", "mixed-n-samples",
+            "mixed-seeds"])
+    def test_inconsistent_score_rows_are_data_error(self, tmp_path, capsys,
+                                                    last, row):
+        # a repeated row once replaced the first, and the last row's
+        # criterion, sample count and seed were taken; prune exited 0
+        model = tmp_path / "mlp.json"
+        save_model(build_toy_mlp(hidden=8, seed=0), model)
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(
+            ["\t".join(SCORE_HEADER)]
+            + [f"{lid}\t{ch}\t{ch + 1}\tweight\t8\t0"
+               for lid in ("fc1", "fc2", "fc3") for ch in range(8)][:-1]
+            + last) + "\n")
+        assert main(["prune", "--model", str(model), "--scores", str(scores),
+                     "--mode", "global", "--threshold", "0.25",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_DATA
+        assert f"row {row} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, flag", [("global", "--ratio"),
+                                            ("per-layer", "--threshold")])
+    def test_prune_refuses_the_flag_its_mode_ignores(self, tmp_path, capsys,
+                                                     mode, flag):
+        # each once exited 0 after removing no channel
+        g = build_toy_mlp(hidden=8, seed=0)
+        model, scores = tmp_path / "mlp.json", tmp_path / "scores.tsv"
+        save_model(g, model)
+        write_tsv(scores, SCORE_HEADER,
+                  score_table_rows(compute_scores(g, "weight", None)))
+        assert main(["prune", "--model", str(model), "--scores", str(scores),
+                     "--mode", mode, flag, "0.5",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
 
     def test_huge_finite_scores_keep_their_channels(self, tmp_path):
         model = tmp_path / "mlp.json"

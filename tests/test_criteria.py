@@ -5,8 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from energyprune.criteria import (CRITERIA, ScoreTable, UnsupportedGraph,
-                                  compute_scores, lrp_relevances,
+from energyprune.criteria import (CRITERIA, _WEIGHT_BLOCK_BYTES, ScoreTable,
+                                  UnsupportedGraph, compute_scores,
+                                  lrp_relevances,
                                   normalize_layer_l2, score_gradient,
                                   score_lrp, score_nuclear, score_taylor,
                                   score_weight, scored_layers)
@@ -15,7 +16,7 @@ from energyprune.engine import (ActivationRecord, GradientRecord,
 from energyprune.graph import INPUT, ModelGraph
 from energyprune.linalg import frobenius_norm, make_rng
 from energyprune.toybench import build_toy_cnn_plain, build_toy_mlp
-from helpers import _dense, _op, oracle_nuclear_norm
+from helpers import _bn, _conv, _dense, _op, oracle_nuclear_norm
 
 
 def _record(values, layer="L"):
@@ -61,12 +62,37 @@ class TestNuclear:
             assert np.array_equal(one.scores["L"], table.scores["L"])
 
 
+def _wide_net():
+    """A conv whose 200 rows of 576 span several blocks of
+    ``_WEIGHT_BLOCK_BYTES``, and a hidden Dense whose rows of 51,200 are
+    each wider than one block."""
+    g = ModelGraph((64, 16, 16))
+    _conv(g, "c1", INPUT, 64, 200)
+    _bn(g, "bn1", "c1", 200)
+    _op(g, "relu1", "ReLU", "bn1")
+    _op(g, "flat", "Flatten", "relu1")
+    _dense(g, "fc1", "flat", 200 * 16 * 16, 3)
+    _op(g, "relu2", "ReLU", "fc1")
+    _dense(g, "out", "relu2", 3, 2)
+    entries = _WEIGHT_BLOCK_BYTES // 8  # float64 entries in one block
+    assert 200 * 576 > 2 * entries and 200 * 16 * 16 > entries
+    return init_params(g, 0)
+
+
 def test_weight_scores_are_l1_rows():
     g = build_toy_mlp(hidden=3, seed=0)
     g.nodes["fc1"].params["w"] = np.array([[1.0, -2.0], [0.0, 0.5], [3.0, 3.0]])
     table = score_weight(g)
     assert np.allclose(table.scores["fc1"], [3.0, 0.5, 6.0])
     assert set(table.scores) == {"fc1", "fc2", "fc3"}
+    # the row blocks give the whole-layer sums bit for bit: a conv over
+    # several blocks, rows wider than one, and the 1000-wide Dense layers
+    for g in (_wide_net(), build_toy_mlp(seed=1)):
+        table = score_weight(g)
+        for lid in scored_layers(g):
+            w = g.nodes[lid].params["w"]
+            want = np.abs(w).reshape(w.shape[0], -1).sum(axis=1)
+            assert table.scores[lid].tobytes() == want.tobytes(), lid
 
 
 class TestGradientTaylor:

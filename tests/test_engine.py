@@ -789,6 +789,16 @@ def test_backprop_returns_only_the_gradients_asked_for():
         for key in pgrads:
             assert np.array_equal(got[1][key], pgrads[key]), key
         assert got[3].caches == {}
+    # gradient capture's backward forms no parameter gradient, and its
+    # node gradients keep their bits (train mode still runs BatchNorm's
+    # scratch buffer)
+    for mode in ("eval", "train"):
+        want = _backprop(g, x, y, mode, 5, 0.0, grads=caps)
+        got = _backprop(g, x, y, mode, 5, 0.0, grads=caps, params=False)
+        assert got[0] == want[0] and got[1] == {} and want[1]
+        assert got[2].keys() == want[2].keys()
+        for nid, grad in got[2].items():
+            assert grad.tobytes() == want[2][nid].tobytes(), (mode, nid)
 
 
 def test_resnet56_training_step_at_32x32_stays_under_750_mib():

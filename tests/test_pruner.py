@@ -1,21 +1,27 @@
 """Planning, executing, and verifying channel removal."""
 
+import hashlib
 import tracemalloc
+from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from energyprune.criteria import ScoreTable, compute_scores
+from energyprune.criteria import ScoreTable, compute_scores, score_weight
 from energyprune.engine import TrainConfig, forward, init_params
-from energyprune.graph import INPUT, ModelGraph, build_channel_groups
+from energyprune.graph import (INPUT, GraphError, ModelGraph,
+                               build_channel_groups, infer_shapes)
 from energyprune.linalg import make_rng
-from energyprune.pruner import (ConsistencyError, PlanError, PruningPlan,
-                                PruningSpec, _layer_counts, _plan,
+from energyprune.modelio import save_model
+from energyprune.pruner import (ConsistencyError, PlanError, PruningSpec,
+                                _layer_counts, _plan,
                                 default_protected, execute, plan,
                                 prune_pipeline)
-from energyprune.toybench import (ToyDatasetSpec, build_reference_arch,
+from energyprune.toybench import (REFERENCE_BUILDERS, ToyDatasetSpec,
+                                  build_reference_arch,
                                   build_toy_cnn_inception,
                                   build_toy_cnn_plain,
                                   build_toy_cnn_residual,
@@ -24,6 +30,13 @@ from energyprune.toybench import (ToyDatasetSpec, build_reference_arch,
 
 from helpers import (_bn, _conv, _dense, _op, reference_channel_groups,
                      reference_plan)
+
+
+class _NoCopy(np.ndarray):
+    """A tensor that fails any test which reads a slice of it."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a tensor was copied")
 
 
 def _mlp_scores(g, values):
@@ -242,14 +255,28 @@ class TestPlanIntegrity:
         table = compute_scores(g, "weight", None)
         p = plan(g, table, PruningSpec(mode="per-layer", ratio=0.25,
                                        criterion="weight"))
-        bad = PruningPlan(removals=p.removals,
-                          predicted_shapes=p.predicted_shapes,
-                          predicted_flops=p.predicted_flops + 1,
-                          predicted_params=p.predicted_params,
-                          baseline_flops=p.baseline_flops,
-                          baseline_params=p.baseline_params)
+        bad = replace(p, predicted_flops=p.predicted_flops + 1)
         with pytest.raises(ConsistencyError):
             execute(g, bad)
+
+    def test_execute_refuses_a_plan_for_another_graph_before_copying(self):
+        g = build_toy_cnn_residual(seed=0)
+        table = compute_scores(g, "weight", None)
+        p = plan(g, table, PruningSpec(mode="per-layer", ratio=0.25,
+                                       criterion="weight"))
+        rewired = g.copy()  # the same nodes, an Add's inputs swapped
+        rewired.nodes["b1.add"].inputs.reverse()
+        retuned = g.copy()  # the same wiring, one attribute changed
+        retuned.nodes["b2.bn1"].attrs["eps"] = 1e-3
+        others = [rewired, retuned, build_toy_cnn_residual(k=5),
+                  build_toy_cnn_plain(seed=0)]
+        for other in others:
+            for node in other.nodes.values():
+                node.params = {k: a.view(_NoCopy) for k, a in node.params.items()}
+            with pytest.raises(GraphError, match="another graph"):
+                execute(other, p)
+        # a copy of the graph the plan was made for is that graph
+        assert infer_shapes(execute(g.copy(), p)) == p.predicted_shapes
 
     def test_plan_predicts_flops_and_params(self):
         g = build_toy_mlp(hidden=8, seed=0)
@@ -441,3 +468,34 @@ def test_plan_allocates_a_small_fraction_of_the_model(name):
     finally:
         tracemalloc.stop()
     assert peak < 0.10 * param_bytes
+
+
+# sha256 of the weight scores, the plans' removals and predictions, and the
+# save_model bytes of the pruned models, over the five reference
+# architectures (seed 0) under a global 0.3 and a per-layer 0.2 plan. It
+# was recorded with numpy 2.4.6 before the rewrite read the plan's slot
+# table and before weight scores ran in row blocks; both left every bit
+# in place.
+SURGERY_SHA256 = "398a8c6ef247c8d62b50525bc6ddfca242e22f989c360cc716de179d74e479cf"
+
+
+def test_full_size_prune_stage_is_bit_identical_to_the_pinned_digest(tmp_path):
+    h = hashlib.sha256()
+    path = tmp_path / "m.json"
+    for name in sorted(REFERENCE_BUILDERS):
+        g = init_params(build_reference_arch(name), 0)
+        table = score_weight(g)
+        for lid, vec in table.scores.items():
+            h.update(lid.encode())
+            h.update(vec.tobytes())
+        for spec in (PruningSpec(mode="global", threshold=0.3, criterion="weight"),
+                     PruningSpec(mode="per-layer", ratio=0.2, criterion="weight")):
+            p = plan(g, table, spec)
+            h.update(repr([(grp.gid, sorted(grp.slots), score)
+                           for grp, score in p.removals]).encode())
+            h.update(repr((p.predicted_shapes, p.predicted_flops,
+                           p.predicted_params)).encode())
+            save_model(execute(g, p), path)
+            h.update(path.read_bytes())
+            h.update(Path(f"{path}.bin").read_bytes())
+    assert h.hexdigest() == SURGERY_SHA256
