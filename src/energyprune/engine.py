@@ -13,15 +13,17 @@ are returned. Each caller in the package names what it reads: the
 training step and ``metrics.evaluate`` the logits, ``backward`` the
 capture points and the logits, LRP the Dense layers and their inputs.
 Backward reads only the per-node caches, which hold what each node's
-gradient needs (a Dense layer's input by reference, a conv's im2col
-columns), never the activation dict. It drops each cache once its node's
-backward has run, and each node gradient once that node has read it,
-unless the caller asked for that gradient: the training step asks for
-none, gradient capture for the capture points', ``backward`` for every
-node's. ``train`` frees one untouched 16 MiB block before its first step,
-which raises glibc's mmap and trim thresholds above a toy step's buffers,
-so the freed buffers are reused from the heap on the next step instead of
-being mapped and faulted in again. ``capture_activations`` runs in chunks
+gradient needs (a Dense or Conv2D layer's input by reference), never the
+activation dict. A conv gathers its im2col columns, k*k times the size of
+its input, a few samples at a time, in the forward and again in backward,
+so no step holds a whole batch of them. Backward drops each cache once
+its node's backward has run, and each node gradient once that node has
+read it, unless the caller asked for that gradient: the training step
+asks for none, gradient capture for the capture points', ``backward``
+for every node's. ``train`` frees one untouched 16 MiB block before its
+first step, which raises glibc's mmap and trim thresholds above a toy
+step's buffers, so the freed buffers are reused from the heap on the next
+step instead of being mapped and faulted in again. ``capture_activations`` runs in chunks
 of ``CAPTURE_CHUNK`` samples, with gradients or without, and copies each
 chunk's capture points and gradients into the whole set's arrays, so the
 memory beyond those arrays does not grow with the sample count.
@@ -30,6 +32,7 @@ memory beyond those arrays does not grow with the sample count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,18 +114,69 @@ class GradientRecord:
 
 # --- per-kind forward/backward -----------------------------------------
 
+def _pad(x, pad, fill=0.0):
+    """An (N, C, H, W) batch copied into the middle of a buffer ``pad``
+    wider on every side and filled with ``fill``; ``x`` itself without
+    ``pad``."""
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    buf = np.full((n, c, h + 2 * pad, w + 2 * pad), fill)
+    buf[:, :, pad:pad + h, pad:pad + w] = x
+    return buf
+
+
 def _windows(x, k, stride, pad, fill=0.0):
     """(N, C, Ho, Wo, k, k) view of the k x k windows of an (N, C, H, W)
-    batch. With ``pad``, the batch is first copied into the middle of a
-    buffer ``pad`` wider on every side and filled with ``fill``; without,
-    the view reads ``x`` itself. ``win[..., i, j]`` is the strided
+    batch, padded by ``_pad``. ``win[..., i, j]`` is the strided
     (N, C, Ho, Wo) map of kernel offset (i, j)."""
-    if pad:
-        n, c, h, w = x.shape
-        buf = np.full((n, c, h + 2 * pad, w + 2 * pad), fill)
-        buf[:, :, pad:pad + h, pad:pad + w] = x
-        x = buf
-    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return sliding_window_view(_pad(x, pad, fill), (k, k),
+                               axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+# Bytes of im2col columns a conv builds at a time. Columns are k*k times
+# the input they gather, so the forward, the weight gradient and the input
+# gradient each gather them a few samples at a time (at least one), small
+# enough for the heap to reuse, and write each chunk's GEMMs straight into
+# the whole batch's result. numpy runs a stacked matmul as one GEMM per
+# sample, so the chunks give the bits of one whole-batch call.
+_CONV_BLOCK_BYTES = 512 * 1024
+
+
+@lru_cache(maxsize=256)
+def _window_index(width, kh, kw, stride, y0, x0, ho, wo):
+    """Flat indices, into a map ``width`` wide, of the kh x kw windows
+    whose first taps sit at (y0, x0) + stride * (a, b), in channel-first
+    im2col order: entry (i, j, a, b) reads row y0 + i + stride * a and
+    column x0 + j + stride * b. Read-only, since every conv of one
+    geometry shares it."""
+    ys = y0 + np.arange(kh)[:, None, None, None] + stride * np.arange(ho)[:, None]
+    xs = x0 + np.arange(kw)[:, None, None] + stride * np.arange(wo)
+    idx = (ys * width + xs).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
+def _column_chunks(buf, kh, kw, stride, y0, x0, ho, wo):
+    """(rows, cols) per chunk of the samples of an (N, C, H, W) buffer.
+    ``cols`` is the chunk's channel-first im2col columns of the windows
+    ``_window_index`` describes, (n, C*kh*kw, Ho*Wo): one contiguous
+    ``np.take`` of at most ``_CONV_BLOCK_BYTES``, or of one sample if
+    that is larger. Its inner loop runs over all kh*kw*Ho*Wo entries,
+    where a copy of a window view would run over each Wo-wide row. A
+    1 x 1 window over the whole buffer reads it in place, in the
+    buffer's memory order, which decides the GEMM's transpose flags, so
+    it is not copied."""
+    n, c, h, w = buf.shape
+    flat = buf.reshape(n, c, h * w)
+    if (kh, kw, ho, wo) == (1, 1, h, w):  # the windows are every entry
+        yield slice(None), flat
+        return
+    idx = _window_index(w, kh, kw, stride, y0, x0, ho, wo)
+    step = max(1, _CONV_BLOCK_BYTES // (8 * c * idx.size))
+    for i in range(0, n, step):
+        part = np.take(flat[i:i + step], idx, axis=2)
+        yield slice(i, i + step), part.reshape(len(part), c * kh * kw, ho * wo)
 
 
 def _reduce_sum(maps, out):
@@ -164,13 +218,15 @@ def _forward_node(node, xs, mode, rng, cache):
         return x @ node.params["w"].T + node.params["b"]
     if k == "Conv2D":
         (x,) = xs
-        win = _windows(x, node.attrs["k"], node.attrs["stride"], node.attrs["pad"])
-        n, c, ho, wo, kk, _ = win.shape
-        # channel-first im2col: one contiguous (N, C*k*k, Ho*Wo) copy
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kk * kk, ho * wo)
-        cache["cols"], cache["x_shape"] = cols, x.shape
+        cache["x"] = x
+        kk, stride = node.attrs["k"], node.attrs["stride"]
+        xp = _pad(x, node.attrs["pad"])
+        n, ho, wo = len(x), *((m - kk) // stride + 1 for m in xp.shape[2:])
         w = node.params["w"]
-        out = cols.transpose(0, 2, 1) @ w.reshape(w.shape[0], -1).T  # (N, Ho*Wo, Cout)
+        w2t = w.reshape(w.shape[0], -1).T
+        out = np.empty((n, ho * wo, w.shape[0]))
+        for rows, cols in _column_chunks(xp, kk, kk, stride, 0, 0, ho, wo):
+            np.matmul(cols.transpose(0, 2, 1), w2t, out=out[rows])
         if "b" in node.params:
             out += node.params["b"]
         return out.transpose(0, 2, 1).reshape(n, w.shape[0], ho, wo)
@@ -280,8 +336,9 @@ def _conv_input_grad(grad, w, x_shape, stride, pad):
     kernel row i, so the input rows of one residue class mod ``stride``
     meet only the kernel rows of that class. Per class of rows and
     columns, the gradient (padded by the class's taps less one) meets
-    the class's flipped, transposed taps in a stride-1 channel-first
-    im2col GEMM. Stride 1 is the one class with every tap."""
+    the class's flipped, transposed taps in stride-1 channel-first im2col
+    GEMMs, a few samples at a time. Stride 1 is the one class with every
+    tap."""
     n, cout, ho, wo = grad.shape
     _, c, h, wd = x_shape
     k = w.shape[2]
@@ -291,7 +348,7 @@ def _conv_input_grad(grad, w, x_shape, stride, pad):
     r, q = (pad + h - 1) // stride + 1, (pad + wd - 1) // stride + 1
     gp = np.zeros((n, cout, t - 1 + r, t - 1 + q))
     gp[:, :, t - 1:t - 1 + ho, t - 1:t - 1 + wo] = grad[:, :, :r, :q]
-    gx = None if stride == 1 else np.zeros((n, c, h, wd))
+    gx = np.empty((n, c, h * wd)) if stride == 1 else np.zeros((n, c, h, wd))
     for ry in range(stride):
         for rx in range(stride):
             taps = w[:, :, ry::stride, rx::stride]
@@ -302,15 +359,15 @@ def _conv_input_grad(grad, w, x_shape, stride, pad):
             nu, nv = len(range(y0, h, stride)), len(range(x0, wd, stride))
             if not (kh and kw and nu and nv):
                 continue  # no taps (stride > k) or no rows: zero
-            win = sliding_window_view(gp, (kh, kw), axis=(2, 3))[
-                :, :, t - kh + u0:t - kh + u0 + nu, t - kw + v0:t - kw + v0 + nv]
-            cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, cout * kh * kw, nu * nv)
             wf = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            part = (wf @ cols).reshape(n, c, nu, nv)
-            if gx is None:
-                return part  # stride 1: the one class is the whole input
-            gx[:, :, y0::stride, x0::stride] = part
-    return gx
+            for rows, cols in _column_chunks(gp, kh, kw, 1, t - kh + u0,
+                                             t - kw + v0, nu, nv):
+                if stride == 1:  # the one class is the whole input
+                    np.matmul(wf, cols, out=gx[rows])
+                else:
+                    gx[rows, :, y0::stride, x0::stride] = \
+                        (wf @ cols).reshape(len(cols), c, nu, nv)
+    return gx.reshape(n, c, h, wd)
 
 
 def _backward_node(node, grad, cache, param_grads, input_grad=True):
@@ -324,19 +381,21 @@ def _backward_node(node, grad, cache, param_grads, input_grad=True):
             param_grads[(node.id, "b")] = grad.sum(axis=0)
         return [grad @ node.params["w"]]
     if k == "Conv2D":
-        w = node.params["w"]
+        w, x = node.params["w"], cache["x"]
+        stride, pad = node.attrs["stride"], node.attrs["pad"]
         if param_grads is not None:
-            cols = cache["cols"]  # (N, C*k*k, Ho*Wo)
             n, cout, ho, wo = grad.shape
             g = grad.reshape(n, cout, ho * wo)
-            gw = g @ cols.transpose(0, 2, 1)  # (N, Cout, C*k*k)
+            gw = np.empty((n, cout, w[0].size))  # per sample, summed below
+            for rows, cols in _column_chunks(_pad(x, pad), w.shape[2], w.shape[3],
+                                             stride, 0, 0, ho, wo):
+                np.matmul(g[rows], cols.transpose(0, 2, 1), out=gw[rows])
             param_grads[(node.id, "w")] = gw.sum(axis=0).reshape(w.shape)
             if "b" in node.params:
                 param_grads[(node.id, "b")] = g.sum(axis=(0, 2))
         if not input_grad:
             return [None]
-        return [_conv_input_grad(grad, w, cache["x_shape"], node.attrs["stride"],
-                                 node.attrs["pad"])]
+        return [_conv_input_grad(grad, w, x.shape, stride, pad)]
     if k == "BatchNorm":
         xhat, inv, axes, shape = cache["xhat"], cache["inv"], cache["axes"], cache["shape"]
         gamma = node.params["gamma"]

@@ -320,6 +320,14 @@ def rewrite_remove_channels(g: ModelGraph, removals) -> ModelGraph:
     return _rewrite(g, t, gone)
 
 
+def _kept_weight(w: np.ndarray, keep: np.ndarray, keep_in: np.ndarray) -> np.ndarray:
+    """``w[np.ix_(keep, keep_in)]``, the same bytes in one ``np.take`` of
+    the flat (out, in) rows of w."""
+    rows = np.flatnonzero(keep)[:, None] * w.shape[1] + np.flatnonzero(keep_in)
+    return np.take(w.reshape(w.shape[0] * w.shape[1], -1), rows.ravel(), axis=0) \
+        .reshape(rows.shape + w.shape[2:])
+
+
 def _rewrite(g: ModelGraph, t: ChannelSlots, gone: np.ndarray) -> ModelGraph:
     """The rewrite body: g without the slots of its slot table t that
     ``gone`` marks (one entry per slot, then False for slot -1), which
@@ -341,7 +349,7 @@ def _rewrite(g: ModelGraph, t: ChannelSlots, gone: np.ndarray) -> ModelGraph:
             attrs["channels"] = int(keep.sum())
         # tensors run over the node's output channels; a weight's second
         # axis runs over its input's
-        params = {name: a[np.ix_(keep, keep_in)] if name == "w" else a[keep]
+        params = {name: _kept_weight(a, keep, keep_in) if name == "w" else a[keep]
                   for name, a in node.params.items()}
         out.nodes[node.id] = LayerNode(node.id, node.kind, attrs, params,
                                        list(node.inputs))

@@ -194,10 +194,15 @@ def load_dataset(path):
             continue
         parts = line.split(",")
         try:
-            xs.append([float(v) for v in parts[:-1]])
+            row = [float(v) for v in parts[:-1]]
             label = float(parts[-1])
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad row {line[:60]!r}") from exc
+        # ReLU's fmax drops NaN, so a nan or inf feature keeps the loss
+        # finite while it fills the weights with NaN
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"{path}: non-finite feature in row {line[:60]!r}")
+        xs.append(row)
         # a class index: inf, nan, 1.5 and values beyond intp are refused
         if not label.is_integer() or abs(label) > np.iinfo(np.intp).max:
             raise DataFormatError(f"{path}: bad label in row {line[:60]!r}")

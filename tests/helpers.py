@@ -5,9 +5,9 @@ finite-difference checker, a numpy eigendecomposition oracle for
 singular values (the production code never calls numpy's SVD/eigh; the
 oracle exists only so tests can cross-check the hand-written kernels),
 the engine's earlier kernels as references (the scatter-based Conv2D
-input gradient, and the ReLU, pooling, BatchNorm and SGD kernels that
-the engine must match bit for bit), and a union-find reference planner
-for the array-based one.
+input gradient, and the whole-batch Conv2D, ReLU, pooling, BatchNorm and
+SGD kernels that the engine must match bit for bit), and a union-find
+reference planner for the array-based one.
 """
 
 from __future__ import annotations
@@ -295,6 +295,47 @@ def reference_conv_input_grad(grad, w, x_shape, stride, pad):
     gwin = (w.reshape(cout, -1).T @ grad.reshape(n, cout, ho * wo)) \
         .reshape((n,) + w.shape[1:] + (ho, wo))
     return _scatter_windows(gwin, x_shape, stride, pad)
+
+
+def whole_batch_conv(x, w, b, grad, stride, pad):
+    """A Conv2D's forward output and its weight, bias and input gradients
+    as the engine computed them before it built im2col columns a few
+    samples at a time: each from one copy of the whole batch's columns.
+    The chunked kernels must match them bit for bit."""
+    n, c = x.shape[:2]
+    cout, _, k, _ = w.shape
+    win = _reference_windows(x, k, stride, pad)
+    ho, wo = win.shape[2:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
+    out = cols.transpose(0, 2, 1) @ w.reshape(cout, -1).T
+    out += b
+    g = grad.reshape(n, cout, ho * wo)
+    gw = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = g.sum(axis=(0, 2))
+    # the polyphase input gradient: per residue class of rows and columns
+    # mod stride, the padded output gradient's columns meet the class's
+    # flipped, transposed taps
+    h, wd = x.shape[2:]
+    t = -(-k // stride)
+    r, q = (pad + h - 1) // stride + 1, (pad + wd - 1) // stride + 1
+    gp = np.zeros((n, cout, t - 1 + r, t - 1 + q))
+    gp[:, :, t - 1:t - 1 + ho, t - 1:t - 1 + wo] = grad[:, :, :r, :q]
+    gx = np.zeros(x.shape)
+    for ry in range(stride):
+        for rx in range(stride):
+            taps = w[:, :, ry::stride, rx::stride]
+            kh, kw = taps.shape[2:]
+            u0, v0 = -((ry - pad) // stride), -((rx - pad) // stride)
+            y0, x0 = ry + stride * u0 - pad, rx + stride * v0 - pad
+            nu, nv = len(range(y0, h, stride)), len(range(x0, wd, stride))
+            if not (kh and kw and nu and nv):
+                continue
+            gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))[
+                :, :, t - kh + u0:t - kh + u0 + nu, t - kw + v0:t - kw + v0 + nv]
+            gcols = gwin.transpose(0, 1, 4, 5, 2, 3).reshape(n, cout * kh * kw, nu * nv)
+            wf = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            gx[:, :, y0::stride, x0::stride] = (wf @ gcols).reshape(n, c, nu, nv)
+    return out.transpose(0, 2, 1).reshape(n, cout, ho, wo), gw, gb, gx
 
 
 def reference_relu(x):

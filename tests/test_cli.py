@@ -10,9 +10,8 @@ from energyprune.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                              _build_arch, main)
 from energyprune.criteria import CRITERIA, compute_scores
 from energyprune.experiments import TOY_REPORT_HEADER, toy_experiment_report
-from energyprune.modelio import (SCORE_HEADER, load_dataset, load_model,
-                                 read_tsv, save_dataset, save_model,
-                                 score_table_rows, write_tsv)
+from energyprune.modelio import (SCORE_HEADER, load_model, read_tsv,
+                                 save_model, score_table_rows, write_tsv)
 from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp)
 
@@ -280,9 +279,8 @@ class TestExitCodes:
             g = build_toy_mlp(hidden=8, seed=0)
         data = tmp_path / "data"
         assert main(["gen-data", *data_args, "--out", str(data)]) == 0
-        x, y = load_dataset(data / "train.csv")
-        x.flat[3] = np.nan
-        save_dataset(data / "train.csv", x, y)
+        # a non-finite feature is a data error, so the NaN is the model's
+        next(iter(g.nodes.values())).params["w"].flat[3] = np.nan
         model = tmp_path / "m.json"
         save_model(g, model)
         with np.errstate(all="ignore"):
@@ -387,6 +385,27 @@ class TestExitCodes:
         (data / "train.csv").write_text("\n".join(lines) + "\n")
         assert main(["train", "--data", str(data), "--max-epochs", "1",
                      "--out", str(tmp_path / "m.json")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--max-epochs", "1"], ["finetune", "--max-epochs", "1"],
+        ["eval"], ["score", "--criterion", "gradient"],
+        ["score", "--criterion", "nuclear"]],
+        ids=["train", "finetune", "eval", "score-gradient", "score-nuclear"])
+    def test_non_finite_feature_is_data_error(self, workdir, tmp_path, capsys,
+                                              argv):
+        # train and finetune once saved a model full of NaN weights, eval
+        # printed an accuracy and gradient scoring a table, all exiting 0
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "test"):
+            lines = (workdir / "data" / f"{split}.csv").read_text().splitlines()
+            for i, value in ((1, "nan"), (2, "inf")):
+                lines[i] = value + "," + lines[i].split(",", 1)[1]
+            (data / f"{split}.csv").write_text("\n".join(lines) + "\n")
+        model = [] if argv[0] == "train" else ["--model", str(workdir / "model.json")]
+        out = [] if argv[0] == "eval" else ["--out", str(tmp_path / "out")]
+        assert main([*argv, *model, "--data", str(data), *out]) == EXIT_DATA
+        assert "non-finite feature in row 'nan," in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["4", "-1"])
     def test_label_out_of_range_is_data_error(self, workdir, tmp_path, capsys,

@@ -276,6 +276,16 @@ class TestDatasetRoundtrip:
         path.write_text("# shape=2\n1.0,2.0,2\n1.0,2.0,2.0\n")
         assert load_dataset(path)[1].tolist() == [2, 2]
 
+    @pytest.mark.parametrize("feature", ["nan", "inf", "-inf", "1e400"])
+    def test_features_must_be_finite(self, tmp_path, feature):
+        path = tmp_path / "d.csv"
+        path.write_text(f"# shape=2\n1.0,2.0,0\n1.0,{feature},1\n")
+        with pytest.raises(DataFormatError,
+                           match=f"non-finite feature in row '1.0,{feature},1'"):
+            load_dataset(path)
+        path.write_text("# shape=2\n1.0,1e300,0\n-1e-320,2.0,1\n")
+        assert load_dataset(path)[0].tolist() == [[1.0, 1e300], [-1e-320, 2.0]]
+
     @pytest.mark.parametrize("text", [
         "# shape=abc\n1.0,2.0,0\n", "# shape=\n1.0,2.0,0\n",
         "# shape=3\n1.0,2.0,0\n3.0,4.0,1\n", "# shape=-1\n1.0,2.0,0\n",
