@@ -16,9 +16,9 @@ import numpy as np
 from .criteria import CRITERIA, compute_scores
 from .engine import TrainConfig, train
 from .linalg import make_rng
-from .metrics import (count_complexity, evaluate, kendall_distance,
-                      ranking_from_scores, select_stability_layers,
-                      stability_curve, stability_sizes)
+from .metrics import (count_complexity, evaluate, layer_distances,
+                      select_stability_layers, stability_curve,
+                      stability_sizes)
 from .pruner import PruningSpec, execute, plan
 from .toybench import (SELECT_BATCHES, ToyDatasetSpec, ZOO_BUILDERS,
                        build_toy_mlp, gen_blobs, gen_class_images,
@@ -96,6 +96,8 @@ def _trained_toy_cnn(seed: int):
 
 
 STABILITY_POOL = 512
+# data-quality probe: scoring-set size, fine-tune epochs, per-layer ratio
+QUALITY_BATCH, QUALITY_EPOCHS, QUALITY_RATIO = 32, 30, 0.30
 
 
 def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
@@ -116,8 +118,7 @@ def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
                            labels=labels)
 
 
-def run_data_quality(seed: int = 0, batch_size: int = 32,
-                     finetune_epochs: int = 30, ratio: float = 0.30):
+def run_data_quality(seed: int = 0):
     """Easy/hard/small scoring-set comparison on toy-cnn-plain.
 
     Returns per-condition Kendall distance to the 10-batch reference
@@ -127,26 +128,23 @@ def run_data_quality(seed: int = 0, batch_size: int = 32,
     layers = select_stability_layers(model)
 
     perm = make_rng(seed).permutation(len(x))
-    ref_idx = perm[:SELECT_BATCHES * batch_size]
-    small_idx = perm[:batch_size]
-    sets = {
-        "small": (x[small_idx], y[small_idx]),
-        "easy": select_by_loss(model, trainset, "easy", batch_size, seed=seed),
-        "hard": select_by_loss(model, trainset, "hard", batch_size, seed=seed),
-    }
+    ref_idx = perm[:SELECT_BATCHES * QUALITY_BATCH]
+    small_idx = perm[:QUALITY_BATCH]
+    sets = {"small": (x[small_idx], y[small_idx])}
+    for kind in ("easy", "hard"):
+        sets[kind] = select_by_loss(model, trainset, kind, QUALITY_BATCH,
+                                    seed=seed)
     reference = compute_scores(model, "nuclear", x[ref_idx], seed=seed)
 
-    distances = {}
-    accuracies = {}
-    cfg = TrainConfig(lr=0.01, max_epochs=finetune_epochs,
-                      patience=finetune_epochs, batch_size=64, seed=seed)
+    distances, accuracies = {}, {}
+    cfg = TrainConfig(lr=0.01, max_epochs=QUALITY_EPOCHS,
+                      patience=QUALITY_EPOCHS, batch_size=64, seed=seed)
+    spec = PruningSpec(mode="per-layer", ratio=QUALITY_RATIO,
+                       criterion="nuclear")
     for name, (sx, sy) in sets.items():
         table = compute_scores(model, "nuclear", sx, seed=seed)
-        ds = [kendall_distance(ranking_from_scores(table.scores[lid]),
-                               ranking_from_scores(reference.scores[lid]))
-              for lid in layers]
-        distances[name] = float(np.mean(ds))
-        spec = PruningSpec(mode="per-layer", ratio=ratio, criterion="nuclear")
+        distances[name] = float(np.mean(
+            layer_distances(table, reference, layers)))
         pruned = execute(model, plan(model, table, spec))
         pruned, _ = train(pruned, trainset, cfg)
         accuracies[name] = evaluate(pruned, (data.test_x, data.test_y))

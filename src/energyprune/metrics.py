@@ -81,8 +81,7 @@ def evaluate(g: ModelGraph, dataset) -> float:
 def kendall_distance(tau1, tau2) -> float:
     """Normalized pairwise-order disagreement between two rankings of
     the same ids: 0 for identical order, 1 for full reversal."""
-    tau1 = list(tau1)
-    tau2 = list(tau2)
+    tau1, tau2 = list(tau1), list(tau2)
     n = len(tau1)
     if n < 2:
         raise ValueError("rankings need at least two elements")
@@ -90,15 +89,22 @@ def kendall_distance(tau1, tau2) -> float:
         raise ValueError("rankings must be permutations of the same ids")
     pos2 = {x: i for i, x in enumerate(tau2)}
     order = np.array([pos2[x] for x in tau1])
-    disagree = 0
-    for j in range(n - 1):
-        disagree += int(np.sum(order[j + 1:] < order[j]))
+    # pairs i < j that tau2 puts in the other order
+    disagree = np.count_nonzero(np.triu(order[:, None] > order, 1))
     return 2.0 * disagree / (n * (n - 1))
 
 
 def ranking_from_scores(scores: np.ndarray):
     """Channel ids ordered by decreasing score; ties keep index order."""
     return list(np.argsort(-np.asarray(scores), kind="stable"))
+
+
+def layer_distances(a, b, layers) -> list[float]:
+    """Per layer of ``layers``, the Kendall distance between the rankings
+    the score tables a and b give its channels."""
+    return [kendall_distance(ranking_from_scores(a.scores[lid]),
+                             ranking_from_scores(b.scores[lid]))
+            for lid in layers]
 
 
 # --- rank stability over data quantity ----------------------------------
@@ -146,10 +152,6 @@ def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
         tables[b] = compute_scores(
             g, criterion, samples[idx],
             labels=None if labels is None else labels[idx], seed=seed)
-    rows = []
-    for small, large in zip(sizes, sizes[1:]):
-        for lid in layers:
-            r1 = ranking_from_scores(tables[small].scores[lid])
-            r2 = ranking_from_scores(tables[large].scores[lid])
-            rows.append((small, large, lid, kendall_distance(r1, r2)))
-    return rows
+    return [(small, large, lid, d) for small, large in zip(sizes, sizes[1:])
+            for lid, d in zip(layers, layer_distances(
+                tables[small], tables[large], layers))]

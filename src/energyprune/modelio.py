@@ -153,8 +153,12 @@ def load_model(path) -> ModelGraph:
                             {}, list(spec["inputs"])))
         g.set_output(manifest["output"])
         for entry in manifest["tensors"]:
-            g.nodes[entry["node"]].params[entry["name"]] = \
-                read_blob(blob, entry["offset"])
+            t = read_blob(blob, entry["offset"])
+            # float32 squares sum to a finite float64 unless one is NaN or inf
+            if not math.isfinite(np.vdot(t, t)):
+                raise DataFormatError(f"{entry['node']}: tensor "
+                                      f"{entry['name']!r} holds NaN or inf")
+            g.nodes[entry["node"]].params[entry["name"]] = t
         for node in g.nodes.values():
             _check_node(node)
         infer_shapes(g)

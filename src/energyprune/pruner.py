@@ -75,7 +75,7 @@ class PruningPlan:
         return slots
 
     def n_removed_channels(self) -> int:
-        return len(self.removed_slots)
+        return int(np.count_nonzero(self.gone))
 
 
 def default_protected(g: ModelGraph) -> set:
@@ -87,13 +87,6 @@ def default_protected(g: ModelGraph) -> set:
             protected.add(node.id)
             break
     return protected
-
-
-def _layer_counts(slots) -> dict:
-    counts: dict = {}
-    for lid, _ in slots:
-        counts[lid] = counts.get(lid, 0) + 1
-    return counts
 
 
 def check_score_widths(g: ModelGraph, scores: ScoreTable) -> None:
@@ -273,22 +266,23 @@ def prune_pipeline(g: ModelGraph, dataset, spec: PruningSpec,
     x, y = dataset
     if scoring_samples is None:
         scoring_samples, scoring_labels = x, y
-    current = g
-    all_removals = []
+    layers = [n.id for n in g.nodes.values() if n.kind in ("Dense", "Conv2D")]
+    current, done = g, {}
     for step in range(1, steps + 1):
         table = compute_scores(current, spec.criterion, scoring_samples,
                                labels=scoring_labels, seed=seed)
-        done = _layer_counts(s for grp, _ in all_removals for s in grp.slots)
-        step_plan = _plan(current, table, spec, step / steps, done)
-        all_removals.extend(step_plan.removals)
-        current = execute(current, step_plan)
+        current = execute(current,
+                          _plan(current, table, spec, step / steps, done))
+        # channels removed so far, per layer, from the widths left
+        done = {lid: g.nodes[lid].attrs["out"] - current.nodes[lid].attrs["out"]
+                for lid in layers}
     if finetune is not None:
         current, _ = train(current, dataset, finetune)
     base = count_complexity(g)
     final = count_complexity(current)
     report = {
         "criterion": spec.criterion,
-        "removed_channels": sum(len(grp.slots) for grp, _ in all_removals),
+        "removed_channels": sum(done.values()),
         "flops_before": base.flops, "flops_after": final.flops,
         "params_before": base.params, "params_after": final.params,
     }

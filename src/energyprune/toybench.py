@@ -127,9 +127,9 @@ def _op(g, nid, kind, src, **attrs):
     return g.add(LayerNode(nid, kind, attrs, {}, srcs))
 
 
-def _cbr(g, name, src, c_in, c_out, k=3, stride=1, pad=1, bias=True):
-    """conv + BN + ReLU; returns the ReLU node id."""
-    _conv(g, f"{name}.conv", src, c_in, c_out, k, stride, pad, bias)
+def _cbr(g, name, src, c_in, c_out, k=3, pad=1, bias=True):
+    """stride-1 conv + BN + ReLU; returns the ReLU node id."""
+    _conv(g, f"{name}.conv", src, c_in, c_out, k, pad=pad, bias=bias)
     _bn(g, f"{name}.bn", f"{name}.conv", c_out)
     _op(g, f"{name}.relu", "ReLU", f"{name}.bn")
     return f"{name}.relu"
@@ -339,8 +339,9 @@ def build_googlenet() -> ModelGraph:
     return g
 
 
-def build_densenet40(growth: int = 12) -> ModelGraph:
+def build_densenet40() -> ModelGraph:
     g = ModelGraph((3, 32, 32))
+    growth = 12  # channels each dense layer adds
     c = 2 * growth
     _conv(g, "conv0", INPUT, 3, c, bias=False)
     last = "conv0"

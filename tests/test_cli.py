@@ -271,22 +271,51 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["conv", "dense"])
     def test_non_finite_activations_are_numeric_error(self, tmp_path, kind):
+        # finite features and finite weights whose products overflow: a
+        # non-finite feature or weight is a data error
         if kind == "conv":
             data_args = ["--kind", "images", "--samples-per-class", "2"]
             g = build_toy_cnn_plain(seed=0)
         else:
-            data_args = ["--kind", "blobs", "--samples-per-class", "4"]
+            # three float32-sized weights scale unit features by ~1e117
+            # at most, so the blobs are spread wide enough that fc3's
+            # energy overflows
+            data_args = ["--kind", "blobs", "--samples-per-class", "4",
+                         "--std", "1e40"]
             g = build_toy_mlp(hidden=8, seed=0)
         data = tmp_path / "data"
         assert main(["gen-data", *data_args, "--out", str(data)]) == 0
-        # a non-finite feature is a data error, so the NaN is the model's
-        next(iter(g.nodes.values())).params["w"].flat[3] = np.nan
         model = tmp_path / "m.json"
+        argv = ["score", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "s.tsv")]
+        save_model(g, model)
+        assert main(argv) == 0
+        for node in g.nodes.values():
+            for name in ("w", "gamma"):
+                if name in node.params:
+                    node.params[name][...] = 3e38  # float32 holds it
         save_model(g, model)
         with np.errstate(all="ignore"):
-            code = main(["score", "--model", str(model), "--data", str(data),
-                         "--out", str(tmp_path / "s.tsv")])
-        assert code == EXIT_NUMERIC
+            assert main(argv) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["score"], ["finetune", "--max-epochs", "1"],
+        ["prune", "--criterion", "weight", "--threshold", "0.3"]],
+        ids=["eval", "score", "finetune", "prune"])
+    def test_non_finite_weight_is_data_error(self, workdir, tmp_path, capsys,
+                                             argv, value):
+        # finetune once trained on and saved back a NaN weight, and eval
+        # printed an accuracy, both exiting 0
+        g = load_model(workdir / "model.json")
+        g.nodes["fc2"].params["w"].flat[7] = value
+        model = tmp_path / "m.json"
+        save_model(g, model)
+        out = [] if argv[0] == "eval" else ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--model", str(model),
+                     "--data", str(workdir / "data"), *out]) == EXIT_DATA
+        assert "fc2: tensor 'w' holds NaN or inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_truncated_model_blob_is_data_error(self, workdir, tmp_path):
         model = tmp_path / "m.json"

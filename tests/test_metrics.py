@@ -83,6 +83,17 @@ class TestKendall:
             assert kendall_distance(ident, list(perm)) == \
                 pytest.approx(2 * disagree / (4 * 3))
 
+    @pytest.mark.parametrize("n", [64, 257, 1000])
+    def test_wide_rankings_match_a_direct_pair_count(self, n):
+        rng = make_rng(n)
+        p, q = list(rng.permutation(n)), list(rng.permutation(n))
+        pos = {x: i for i, x in enumerate(q)}
+        disagree = sum(pos[a] > pos[b]
+                       for i, a in enumerate(p) for b in p[i + 1:])
+        assert kendall_distance(p, q) == 2 * disagree / (n * (n - 1))
+        assert kendall_distance(p, p) == 0.0
+        assert kendall_distance(p, p[::-1]) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kendall_distance([0], [0])

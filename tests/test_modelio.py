@@ -178,6 +178,28 @@ class TestModelRoundtrip:
         with pytest.raises(DataFormatError, match="tensor"):
             load_model(path)
 
+    @pytest.mark.parametrize("node, name, value", [
+        ("stem.conv", "w", np.nan), ("stem.conv", "b", np.inf),
+        ("stem.bn", "var", -np.inf), ("out", "b", np.nan)])
+    def test_tensors_must_be_finite(self, tmp_path, node, name, value):
+        g = build_toy_cnn_residual(seed=0)
+        g.nodes[node].params[name].flat[-1] = value
+        path = tmp_path / "m.json"
+        save_model(g, path)
+        with pytest.raises(DataFormatError,
+                           match=rf"{node}: tensor '{name}' holds NaN or inf"):
+            load_model(path)
+
+    def test_float32_extremes_are_finite(self, tmp_path):
+        # the squares of float32's largest values sum to a finite float64
+        g = build_toy_cnn_residual(seed=0)
+        top = float(np.finfo(np.float32).max)
+        g.nodes["stem.conv"].params["w"][...] = top
+        g.nodes["out"].params["w"][...] = -top
+        path = tmp_path / "m.json"
+        save_model(g, path)
+        assert load_model(path).nodes["stem.conv"].params["w"].min() == top
+
 
 # sha256 of the manifest and of the blob, as this format has written them
 # since it was pinned; any change to the bytes on disk fails here

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -15,10 +16,10 @@ from energyprune.engine import TrainConfig, forward, init_params
 from energyprune.graph import (INPUT, GraphError, ModelGraph,
                                build_channel_groups, infer_shapes)
 from energyprune.linalg import make_rng
+from energyprune.metrics import count_complexity
 from energyprune.modelio import save_model
 from energyprune.pruner import (ConsistencyError, PlanError, PruningSpec,
-                                _layer_counts, _plan,
-                                default_protected, execute, plan,
+                                _plan, default_protected, execute, plan,
                                 prune_pipeline)
 from energyprune.toybench import (REFERENCE_BUILDERS, ToyDatasetSpec,
                                   build_reference_arch,
@@ -430,9 +431,9 @@ def test_plan_matches_the_union_find_reference(data):
             return
         assert _as_reference(got) == want
         assert all(grp.prunable for grp, _ in got.removals)
-        counts = _layer_counts(s for grp, _ in got.removals for s in grp.slots)
-        done = {lid: done.get(lid, 0) + counts.get(lid, 0)
-                for lid in set(done) | set(counts)}
+        assert got.n_removed_channels() == len(got.removed_slots)
+        done = dict(Counter(done) + Counter(
+            lid for grp, _ in got.removals for lid, _ in grp.slots))
         g = execute(g, got)
 
 
@@ -499,3 +500,27 @@ def test_full_size_prune_stage_is_bit_identical_to_the_pinned_digest(tmp_path):
             h.update(path.read_bytes())
             h.update(Path(f"{path}.bin").read_bytes())
     assert h.hexdigest() == SURGERY_SHA256
+
+
+# Per stage, the ratio a per-layer plan takes from each residual block's
+# conv1, and the paper's (FLOPs, params) reductions in percent that it
+# reaches. A per-layer plan removes the same counts whatever the scores.
+PAPER_POINTS = {
+    "resnet56": ((0.40, 0.35, 0.50), (40.4, 45.9)),
+    "resnet110": ((0.85, 0.05, 0.65), (49.8, 52.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_POINTS))
+def test_plans_reach_the_papers_complexity_points(name):
+    ratios, paper = PAPER_POINTS[name]
+    g = init_params(build_reference_arch(name), 0)
+    spec = PruningSpec(mode="per-layer", criterion="weight", per_layer_ratios={
+        lid: ratios[int(lid[1])] for lid in g.nodes if lid.endswith(".conv1")})
+    p = plan(g, score_weight(g), spec)
+    predicted = (100 * (1 - p.predicted_flops / p.baseline_flops),
+                 100 * (1 - p.predicted_params / p.baseline_params))
+    measured = count_complexity(execute(g, p)).reduction_vs(
+        count_complexity(g))
+    assert predicted == pytest.approx(paper, abs=0.5)
+    assert measured == pytest.approx(paper, abs=0.5)
