@@ -15,7 +15,7 @@ import numpy as np
 from .engine import (ActivationRecord, GradientRecord, capture_activations,
                      capture_points, forward, logits_node)
 from .graph import INPUT, ModelGraph
-from .linalg import DomainError, nuclear_norms
+from .linalg import DomainError, _pow2_scale, nuclear_norms
 
 CRITERIA = ("nuclear", "weight", "gradient", "taylor", "lrp")
 
@@ -49,15 +49,6 @@ def scored_layers(g: ModelGraph) -> list[str]:
     return [prod for _, prod in capture_points(g)]
 
 
-def _nuclear_channel_scores(rec: ActivationRecord) -> np.ndarray:
-    """One layer's channel matrices scored as one (C, N, h*w) stack."""
-    stack = rec.channel_stack()
-    if stack.shape[2] == 1:
-        # nuclear norm of an N x 1 matrix is its Euclidean norm
-        return np.array([float(np.linalg.norm(a)) for a in stack])
-    return nuclear_norms(stack)
-
-
 def score_nuclear(records, seed: int = 0) -> ScoreTable:
     """Energy scores: per channel, nuclear norm of the N x (h*w) matrix
     stacking its map from every sample. ``records`` is any iterable of
@@ -67,7 +58,7 @@ def score_nuclear(records, seed: int = 0) -> ScoreTable:
         if rec.n_samples < 1:
             raise ValueError(f"empty record for {rec.layer_id!r}")
         table.n_samples = rec.n_samples
-        table.scores[rec.layer_id] = _nuclear_channel_scores(rec)
+        table.scores[rec.layer_id] = nuclear_norms(rec.channel_stack())
     if not table.scores:
         raise ValueError("no activation records")
     return table.validate()
@@ -204,24 +195,17 @@ def score_lrp(g: ModelGraph, samples: np.ndarray, seed: int = 0) -> ScoreTable:
     return table.validate()
 
 
-# Below this magnitude the squares inside a norm turn subnormal or zero.
-_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
-
-
 def normalize_layer_l2(table: ScoreTable) -> ScoreTable:
     """Each layer's score vector divided by its Euclidean norm; an
-    all-zero layer is left unchanged. When the norm overflows, or the
-    largest magnitude is so small that the squares underflow, the vector
-    is first divided by its largest magnitude."""
+    all-zero layer is left unchanged. The vector is first scaled by
+    ``linalg._pow2_scale``, so its norm neither overflows nor underflows
+    and, where the unscaled norm would not, the bits are the unscaled
+    ``vec / np.linalg.norm(vec)``."""
     scores = {}
     for lid, vec in table.scores.items():
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(vec))
-        big = float(np.max(np.abs(vec), initial=0.0))
-        if not np.isfinite(norm) or 0.0 < big < _SQRT_TINY:
-            vec = vec / big
-            norm = float(np.linalg.norm(vec))
-        scores[lid] = vec / norm if norm > 0 else vec.copy()
+        vec = vec * _pow2_scale(float(np.max(np.abs(vec), initial=0.0)))
+        norm = float(np.linalg.norm(vec))
+        scores[lid] = vec / norm if norm > 0 else vec
     return replace(table, scores=scores, normalization="layer-l2")
 
 

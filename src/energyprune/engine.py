@@ -179,37 +179,6 @@ def _column_chunks(buf, kh, kw, stride, y0, x0, ho, wo):
         yield slice(i, i + step), part.reshape(len(part), c * kh * kw, ho * wo)
 
 
-def _reduce_sum(maps, out):
-    """The maps summed into ``out`` in the order np.add.reduce sums a
-    contiguous axis of their length (numpy's pairwise summation): one
-    running sum under 8 terms; up to 128, eight running sums of every
-    eighth term, then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-    plus the rest; beyond, two halves. Starting from ``maps[0] + 0.0``
-    stands in for the reduction's 0.0 start, which turns an all -0.0 sum
-    into +0.0."""
-    n = len(maps)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _reduce_sum(maps[:half], out)
-        out += _reduce_sum(maps[half:], np.empty_like(out))
-        return out
-    np.add(maps[0], 0.0, out=out)
-    if n < 8:
-        for m in maps[1:]:
-            out += m
-        return out
-    sums = [out] + [m.copy() for m in maps[1:8]]
-    rest = n - n % 8
-    for i in range(8, rest, 8):
-        for s, m in zip(sums, maps[i:i + 8]):
-            s += m
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        sums[a] += sums[b]
-    for m in maps[rest:]:
-        out += m
-    return out
-
-
 def _forward_node(node, xs, mode, rng, cache):
     k = node.kind
     if k == "Dense":
@@ -292,14 +261,17 @@ def _forward_node(node, xs, mode, rng, cache):
         kk = node.attrs["k"]
         win = _windows(x, kk, node.attrs["stride"], node.attrs.get("pad", 0))
         cache["x_shape"] = x.shape
-        if kk == 1 or win.strides[4] == kk * win.strides[5]:
-            # the k x k offsets are evenly spaced (a row k wide), so the
-            # flattened windows are a view, not a copy
+        if kk != 2 or win.strides[4] == 2 * win.strides[5]:
+            # the flattened windows are a view where the k x k offsets are
+            # evenly spaced (k = 1, or a row k wide), one copy otherwise
             return win.reshape(win.shape[:4] + (kk * kk,)).mean(axis=-1)
-        # the mean over a C-order copy of every window, without the copy
-        out = _reduce_sum([win[..., o // kk, o % kk] for o in range(kk * kk)],
-                          np.empty(win.shape[:4]))
-        out /= kk * kk
+        # 2 x 2: the mean over a C-order copy of every window, without the
+        # copy. Four terms are one running sum from the reduction's 0.0
+        # start, which turns an all -0.0 window into +0.0.
+        out = np.add(win[..., 0, 0], 0.0, out=np.empty(win.shape[:4]))
+        for o in range(1, 4):
+            out += win[..., o // 2, o % 2]
+        out /= 4
         return out
     if k == "GlobalAvgPool":
         (x,) = xs

@@ -12,6 +12,7 @@ pairs. A whole layer's channels are one stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,16 @@ def make_rng(seed: int) -> np.random.Generator:
     """Deterministic RNG stream. PCG64 is counter-based and produces the
     same stream for the same seed on every platform."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _pow2_scale(big: float) -> float:
+    """The power of two that brings a largest magnitude ``big`` into
+    [0.5, 1), its exponent clipped to +-1000 so that the scale stays a
+    normal float (1 for 0). Scaling by it is exact, so a norm of the
+    scaled entries, divided by it, has the unscaled bits wherever the
+    unscaled squares neither overflow nor underflow. ``_jacobi`` applies
+    the same rule to a whole stack at once."""
+    return math.ldexp(1.0, -min(max(math.frexp(big)[1], -1000), 1000))
 
 
 @dataclass(frozen=True)
@@ -256,5 +267,9 @@ def nuclear_norm(a: np.ndarray) -> float:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
+    """Square root of the sum of squared entries, summed with the entries
+    scaled by ``_pow2_scale`` so that no square overflows or underflows."""
     a = _check_matrix(a)
-    return float(np.sqrt(np.sum(a * a)))
+    scale = _pow2_scale(float(np.abs(a).max()))
+    a = a * scale
+    return float(np.sqrt(np.sum(a * a))) / scale

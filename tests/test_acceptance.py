@@ -339,13 +339,18 @@ def test_criterion_9_channel_scores_are_stack_composition_invariant():
                 for i in range(rec.n_channels):
                     assert np.array_equal(nuclear_norms(stack[i:i + 1]),
                                           full[i:i + 1])
-    # dense neurons skip the kernel: each is the norm of its N x 1 matrix
+    # dense neurons are N x 1 stacks through the same kernel, whose one
+    # singular value is the neuron's Euclidean norm
     g = build_toy_mlp(hidden=16, seed=0)
     for rec in capture_activations(g, make_rng(1).normal(size=(32, 2))):
-        expect = [float(np.linalg.norm(rec.values[:, i].reshape(-1, 1)))
-                  for i in range(rec.n_channels)]
-        assert np.array_equal(score_nuclear([rec]).scores[rec.layer_id],
-                              expect)
+        stack = rec.channel_stack()
+        full = nuclear_norms(stack)
+        scores = score_nuclear([rec]).scores[rec.layer_id]
+        assert np.array_equal(scores, full)
+        for i in range(rec.n_channels):
+            assert np.array_equal(nuclear_norms(stack[i:i + 1]), full[i:i + 1])
+        assert np.allclose(scores, np.linalg.norm(rec.values, axis=0),
+                           rtol=1e-15, atol=0)
 
 
 def test_criterion_9_scoring_is_batch_composition_invariant():

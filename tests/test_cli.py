@@ -279,9 +279,9 @@ class TestExitCodes:
         else:
             # three float32-sized weights scale unit features by ~1e117
             # at most, so the blobs are spread wide enough that fc3's
-            # energy overflows
+            # activations themselves overflow
             data_args = ["--kind", "blobs", "--samples-per-class", "4",
-                         "--std", "1e40"]
+                         "--std", "1e200"]
             g = build_toy_mlp(hidden=8, seed=0)
         data = tmp_path / "data"
         assert main(["gen-data", *data_args, "--out", str(data)]) == 0
@@ -297,6 +297,27 @@ class TestExitCodes:
         save_model(g, model)
         with np.errstate(all="ignore"):
             assert main(argv) == EXIT_NUMERIC
+
+    def test_huge_finite_dense_activations_score(self, tmp_path):
+        # fc3's activations reach ~1e157, so the squares inside a neuron's
+        # norm overflow, but its energy (~1e158) is finite; this once
+        # exited 4 as "non-finite scores"
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kind", "blobs", "--samples-per-class", "4",
+                     "--std", "1e40", "--out", str(data)]) == 0
+        g = build_toy_mlp(hidden=8, seed=0)
+        for node in g.nodes.values():
+            for name in ("w", "gamma"):
+                if name in node.params:
+                    node.params[name][...] = 3e38
+        model, scores = tmp_path / "m.json", tmp_path / "s.tsv"
+        save_model(g, model)
+        with np.errstate(over="raise"):
+            assert main(["score", "--model", str(model), "--data", str(data),
+                         "--out", str(scores)]) == 0
+        _, rows = read_tsv(scores)
+        fc3 = [float(row[2]) for row in rows if row[0] == "fc3"]
+        assert len(fc3) == 8 and np.all(np.isfinite(fc3)) and max(fc3) > 1e150
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("argv", [

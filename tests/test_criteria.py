@@ -14,7 +14,7 @@ from energyprune.criteria import (CRITERIA, _WEIGHT_BLOCK_BYTES, ScoreTable,
 from energyprune.engine import (ActivationRecord, GradientRecord,
                                 capture_activations, forward, init_params)
 from energyprune.graph import INPUT, ModelGraph
-from energyprune.linalg import frobenius_norm, make_rng
+from energyprune.linalg import DomainError, frobenius_norm, make_rng
 from energyprune.toybench import build_toy_cnn_plain, build_toy_mlp
 from helpers import _bn, _conv, _dense, _op, oracle_nuclear_norm
 
@@ -31,6 +31,17 @@ class TestNuclear:
         table = score_nuclear([rec])
         assert np.allclose(table.scores["L"], [5.0, 0.0, np.sqrt(5.0)])
         assert table.n_samples == 2
+
+    def test_dense_neurons_near_the_float_limit(self):
+        # the squares overflow, the norms do not; an inf entry is still
+        # outside the domain
+        vals = np.array([[3e200, 1e200, 1e-300], [4e200, -2e200, 0.0]])
+        scores = score_nuclear([_record(vals)]).scores["L"]
+        assert np.allclose(scores, [5e200, np.sqrt(5.0) * 1e200, 1e-300],
+                           rtol=1e-15, atol=0)
+        vals[1, 1] = np.inf
+        with pytest.raises(DomainError):
+            score_nuclear([_record(vals)])
 
     def test_conv_channels_match_eigendecomposition_oracle(self):
         vals = make_rng(0).normal(size=(6, 3, 4, 4))
@@ -229,9 +240,14 @@ class TestScoreTable:
         for lid in ("a", "b"):
             assert np.allclose(n.scores[lid], ref.scores[lid], rtol=1e-15, atol=0)
         assert np.allclose(n.scores["a"], np.array([1.0, 2.0]) / np.sqrt(5.0))
+        # a subnormal maximum needs a scale past the clipped exponent
+        n = normalize_layer_l2(ScoreTable("weight", scores={
+            "c": np.array([5e-324, 1e-323])}))
+        assert np.array_equal(n.scores["c"], np.array([1.0, 2.0]) / np.sqrt(5.0))
 
     def test_normalize_layer_l2_keeps_ordinary_bits(self):
-        # only overflowing or underflowing vectors take the rescaled path
+        # scaling by a power of two keeps the bits of every vector whose
+        # unscaled norm neither overflows nor underflows
         vecs = {"a": np.array([3.0, 4.0, 1e-3]), "b": np.array([2e-154, 5e-154]),
                 "c": np.array([0.0, 7.5e100])}
         n = normalize_layer_l2(ScoreTable("weight", scores=vecs))

@@ -195,11 +195,11 @@ def test_pools_match_the_reference_bit_for_bit():
             assert gx.strides == ref_gx.strides, case
 
 
-@pytest.mark.parametrize("k", [4, 9, 13])
+@pytest.mark.parametrize("k", [2, 4, 9, 13])
 def test_avgpool_keeps_numpys_summation_order_for_wide_windows(k):
-    # 16 and 81 terms take eight running sums, 169 two halves of 80 and
-    # 89; about a third of the inputs are -0.0, and one window holds
-    # nothing else
+    # k = 2 sums its four maps inline; 16 and 81 terms take numpy's eight
+    # running sums, 169 two halves of 80 and 89. About a third of the
+    # inputs are -0.0, and one window holds nothing else
     rng = make_rng(800 + k)
     shape = (2, 3, k + 3, k + 2)
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)

@@ -79,6 +79,11 @@ class TestSvd:
         with pytest.raises(DomainError):
             frobenius_norm(np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("x", [1e200, 1e-170])
+    def test_frobenius_norm_at_the_float_limits(self, x):
+        # the squares overflow (1e200) or underflow (1e-170); the norm does not
+        assert frobenius_norm(np.full((2, 2), x)) == 2 * x
+
 
 class TestJacobiKernel:
     @pytest.mark.parametrize("n", [2, 4, 6, 16])
