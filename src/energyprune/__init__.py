@@ -11,16 +11,15 @@ from .criteria import (ScoreTable, compute_scores, normalize_layer_l2,
                        score_gradient, score_lrp, score_nuclear,
                        score_taylor, score_weight)
 from .engine import (ActivationRecord, GradientRecord, TrainConfig,
-                     backward, capture_activations, forward, init_params,
-                     train)
+                     backward, capture_activations, evaluate, forward,
+                     init_params, train)
 from .graph import (ChannelGroup, GraphError, LayerNode, ModelGraph,
                     RewriteRefusal, build_channel_groups, infer_shapes,
                     rewrite_remove_channels)
 from .linalg import (SvdResult, frobenius_norm, make_rng, nuclear_norm,
                      nuclear_norms, singular_values, svd)
-from .metrics import (ComplexityReport, count_complexity, evaluate,
-                      kendall_distance, ranking_from_scores,
-                      stability_curve)
+from .metrics import (ComplexityReport, count_complexity,
+                      kendall_distance, ranking_from_scores)
 from .pruner import (PruningPlan, PruningSpec, execute, plan,
                      prune_pipeline)
 from .toybench import (Dataset, ToyDatasetSpec, build_reference_arch,

@@ -12,13 +12,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .criteria import CRITERIA, compute_scores
-from .engine import (DivergenceError, LabelError, TrainConfig, init_params,
-                     train)
+from .engine import (DivergenceError, LabelError, TrainConfig, evaluate,
+                     init_params, train)
 from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
 from .linalg import ConvergenceError, DomainError
-from .metrics import count_complexity, evaluate
+from .metrics import count_complexity
 from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       format_table, load_config, load_dataset, load_model,
                       plan_rows, read_score_table, read_tsv, save_dataset,
@@ -67,6 +67,17 @@ def _build_arch(name: str, seed: int):
     return init_params(build_reference_arch(name), seed)
 
 
+def _load_split(g, data, split: str):
+    """``<data>/<split>.csv``, refused as a data error unless its samples
+    fit the input of ``g``."""
+    path = Path(data) / f"{split}.csv"
+    x, y = load_dataset(path)
+    if x.shape[1:] != g.input_shape:
+        raise DataFormatError(f"{path}: sample shape {x.shape[1:]} does not "
+                              f"match the model input {g.input_shape}")
+    return x, y
+
+
 def cmd_gen_data(args):
     if args.kind == "blobs":
         spec = ToyDatasetSpec(classes=args.classes,
@@ -89,9 +100,8 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = _train_config(args)
-    x, y = load_dataset(Path(args.data) / "train.csv")
     g = _build_arch(args.arch, cfg.seed)
-    g, history = train(g, (x, y), cfg)
+    g, history = train(g, _load_split(g, args.data, "train"), cfg)
     save_model(g, args.out)
     write_tsv(Path(args.out).with_suffix(".history.tsv"),
               ("epoch", "train_loss", "val_acc", "lr"),
@@ -104,7 +114,7 @@ def cmd_score(args):
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     g = load_model(args.model)
-    x, y = load_dataset(Path(args.data) / "train.csv")
+    x, y = _load_split(g, args.data, "train")
     if args.samples:
         x, y = x[:args.samples], y[:args.samples]
     table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
@@ -127,7 +137,7 @@ def cmd_prune(args):
         except PlanError as exc:
             raise DataFormatError(f"{args.scores}: {exc}") from exc
     else:
-        x, y = load_dataset(Path(args.data) / "train.csv")
+        x, y = _load_split(g, args.data, "train")
         table = compute_scores(g, args.criterion, x, labels=y, seed=args.seed)
     spec = PruningSpec(mode=args.mode, ratio=args.ratio or 0.0,
                        threshold=args.threshold or 0.0,
@@ -144,8 +154,7 @@ def cmd_prune(args):
 def cmd_finetune(args):
     cfg = _train_config(args)
     g = load_model(args.model)
-    x, y = load_dataset(Path(args.data) / "train.csv")
-    g, history = train(g, (x, y), cfg)
+    g, history = train(g, _load_split(g, args.data, "train"), cfg)
     save_model(g, args.out)
     print(f"fine-tuned: best val acc {max(h[2] for h in history):.4f}; "
           f"model at {args.out}")
@@ -153,8 +162,7 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     g = load_model(args.model)
-    x, y = load_dataset(Path(args.data) / "test.csv")
-    acc = evaluate(g, (x, y))
+    acc = evaluate(g, _load_split(g, args.data, "test"))
     print(f"top-1 accuracy: {acc:.4f}")
 
 
@@ -174,7 +182,7 @@ def cmd_stability(args):
         raise ValueError("stability takes --model and --data together")
     if args.model:
         model = load_model(args.model)
-        data = load_dataset(Path(args.data) / "train.csv")
+        data = _load_split(model, args.data, "train")
     rows = run_stability(seed=args.seed, sizes=sizes, criterion=args.criterion,
                          model=model, data=data)
     out_rows = [(a, b, lid, f"{k:.6f}") for a, b, lid, k in rows]

@@ -10,7 +10,7 @@ Memory. ``forward`` keeps every node's activation unless the caller names
 the ones it reads with ``keep``; then each other activation is dropped as
 soon as its last consumer has run, and only the kept nodes and the output
 are returned. Each caller in the package names what it reads: the
-training step and ``metrics.evaluate`` the logits, ``backward`` the
+training step and ``evaluate`` the logits, ``backward`` the
 capture points and the logits, LRP the Dense layers and their inputs.
 Backward reads only the per-node caches, which hold what each node's
 gradient needs (a Dense or Conv2D layer's input by reference), never the
@@ -39,7 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import INPUT, ModelGraph, channel_provenance, infer_shapes
 from .linalg import make_rng
-from .metrics import evaluate
 
 
 class DivergenceError(RuntimeError):
@@ -551,6 +550,25 @@ def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return _softmax_loss(logits, labels)[0]
+
+
+EVAL_BATCH = 512
+
+
+def evaluate(g: ModelGraph, dataset) -> float:
+    """Top-1 accuracy in eval mode, in batches of ``EVAL_BATCH``. Argmax
+    ties break toward the lowest class index. A label that is not a class
+    of the model raises ``LabelError``."""
+    x, y = dataset
+    if len(x) == 0:
+        raise ValueError("empty dataset")
+    lid = logits_node(g)
+    _check_labels(np.asarray(y), infer_shapes(g)[lid][0])
+    hits = 0
+    for i in range(0, len(x), EVAL_BATCH):
+        logits = forward(g, x[i:i + EVAL_BATCH], keep=[lid]).activations[lid]
+        hits += int(np.sum(np.argmax(logits, axis=1) == y[i:i + EVAL_BATCH]))
+    return hits / len(x)
 
 
 def backward(g: ModelGraph, x: np.ndarray, labels: np.ndarray,

@@ -14,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 
 from .criteria import CRITERIA, compute_scores
-from .engine import TrainConfig, train
+from .engine import TrainConfig, evaluate, train
 from .linalg import make_rng
-from .metrics import (count_complexity, evaluate, layer_distances,
-                      select_stability_layers, stability_curve,
-                      stability_sizes)
+from .metrics import (count_complexity, layer_distances,
+                      select_stability_layers)
 from .pruner import PruningSpec, execute, plan
 from .toybench import (SELECT_BATCHES, ToyDatasetSpec, ZOO_BUILDERS,
                        build_toy_mlp, gen_blobs, gen_class_images,
@@ -103,10 +102,18 @@ QUALITY_BATCH, QUALITY_EPOCHS, QUALITY_RATIO = 32, 30, 0.30
 def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
                   criterion: str = "nuclear", model=None, data=None):
     """Kendall distance between the rankings from nested sample sets of
-    consecutive sizes, on 4 evenly spaced layers. ``model`` and ``data``
-    (samples, labels) default to a trained toy-cnn-plain and a fresh
-    pool of ``STABILITY_POOL`` images."""
-    stability_sizes(sizes)  # before a default model is trained
+    consecutive sizes, on the ``select_stability_layers`` layers.
+    ``model`` and ``data`` (samples, labels) default to a trained
+    toy-cnn-plain and a fresh pool of ``STABILITY_POOL`` images.
+
+    The size-B set is a prefix of the size-2B set, drawn by a seeded
+    permutation of the pool. Returns rows
+    (size_small, size_large, layer_id, distance)."""
+    # checked before a default model is trained
+    sizes = sorted(int(b) for b in sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
+        raise ValueError("stability needs two or more distinct sizes >= 1, got "
+                         + ",".join(map(str, sizes)))
     if model is None:
         model, _ = _trained_toy_cnn(seed)
         pool = gen_class_images(classes=4,
@@ -114,8 +121,19 @@ def run_stability(seed: int = 0, sizes=(4, 8, 16, 32, 64, 128, 256, 512),
                                 seed=seed + 500)
         data = (pool.train_x, pool.train_y)
     samples, labels = data
-    return stability_curve(model, samples, criterion, sizes, seed=seed,
-                           labels=labels)
+    if sizes[-1] > len(samples):
+        raise ValueError("largest batch size exceeds the sample pool")
+    layers = select_stability_layers(model)
+    perm = make_rng(seed).permutation(len(samples))
+    tables = {}
+    for b in sizes:
+        idx = perm[:b]
+        tables[b] = compute_scores(
+            model, criterion, samples[idx],
+            labels=None if labels is None else labels[idx], seed=seed)
+    return [(small, large, lid, d) for small, large in zip(sizes, sizes[1:])
+            for lid, d in zip(layers, layer_distances(
+                tables[small], tables[large], layers))]
 
 
 def run_data_quality(seed: int = 0):

@@ -1,4 +1,4 @@
-"""Complexity accounting, accuracy evaluation, and rank stability.
+"""Complexity accounting and rank math.
 
 FLOPs use the 1 MAC = 1 FLOP convention over conv and dense layers only;
 BN, activations and pooling count as zero. This is the convention that
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import scored_layers
+from .engine import evaluate  # re-exported: the one evaluator lives in engine
 from .graph import ModelGraph, infer_shapes
 
 FLOPS_CONVENTION = "1 MAC = 1 FLOP; conv+dense only"
@@ -55,27 +57,6 @@ def count_complexity(g: ModelGraph) -> ComplexityReport:
     return ComplexityReport(flops=total_f, params=total_p, per_layer=per_layer)
 
 
-EVAL_BATCH = 512
-
-
-def evaluate(g: ModelGraph, dataset) -> float:
-    """Top-1 accuracy in eval mode, in batches of ``EVAL_BATCH``. Argmax
-    ties break toward the lowest class index. A label that is not a class
-    of the model raises ``engine.LabelError``."""
-    from .engine import _check_labels, forward, logits_node
-
-    x, y = dataset
-    if len(x) == 0:
-        raise ValueError("empty dataset")
-    lid = logits_node(g)
-    _check_labels(np.asarray(y), infer_shapes(g)[lid][0])
-    hits = 0
-    for i in range(0, len(x), EVAL_BATCH):
-        logits = forward(g, x[i:i + EVAL_BATCH], keep=[lid]).activations[lid]
-        hits += int(np.sum(np.argmax(logits, axis=1) == y[i:i + EVAL_BATCH]))
-    return hits / len(x)
-
-
 # --- Kendall tau distance ----------------------------------------------
 
 def kendall_distance(tau1, tau2) -> float:
@@ -109,49 +90,14 @@ def layer_distances(a, b, layers) -> list[float]:
 
 # --- rank stability over data quantity ----------------------------------
 
-def select_stability_layers(g: ModelGraph, n_layers: int = 4) -> list[str]:
-    """Evenly spaced prunable layers (4 by default)."""
-    from .criteria import scored_layers
+STABILITY_LAYERS = 4
 
+
+def select_stability_layers(g: ModelGraph) -> list[str]:
+    """``STABILITY_LAYERS`` evenly spaced prunable layers."""
     layers = scored_layers(g)
-    if len(layers) <= n_layers:
+    if len(layers) <= STABILITY_LAYERS:
         return layers
-    idx = np.round(np.linspace(0, len(layers) - 1, n_layers)).astype(int)
+    idx = np.round(np.linspace(0, len(layers) - 1,
+                               STABILITY_LAYERS)).astype(int)
     return [layers[i] for i in sorted(set(idx))]
-
-
-def stability_sizes(batch_sizes) -> list[int]:
-    """The sizes sorted, or ValueError unless they are two or more
-    distinct counts >= 1."""
-    sizes = sorted(int(b) for b in batch_sizes)
-    if len(sizes) < 2 or len(set(sizes)) < len(sizes) or sizes[0] < 1:
-        raise ValueError("stability needs two or more distinct sizes >= 1, got "
-                         + ",".join(map(str, sizes)))
-    return sizes
-
-
-def stability_curve(g: ModelGraph, samples: np.ndarray, criterion: str,
-                    batch_sizes, seed: int = 0, labels=None):
-    """Kendall distance between the rankings from nested sample subsets
-    of consecutive sizes, on the ``select_stability_layers`` layers.
-
-    Subsets are nested (the size-B set is a prefix of the size-2B set)
-    and seed-deterministic. Returns rows
-    (size_small, size_large, layer_id, distance)."""
-    from .criteria import compute_scores
-    from .linalg import make_rng
-
-    sizes = stability_sizes(batch_sizes)
-    if sizes[-1] > len(samples):
-        raise ValueError("largest batch size exceeds the sample pool")
-    layers = select_stability_layers(g)
-    perm = make_rng(seed).permutation(len(samples))
-    tables = {}
-    for b in sizes:
-        idx = perm[:b]
-        tables[b] = compute_scores(
-            g, criterion, samples[idx],
-            labels=None if labels is None else labels[idx], seed=seed)
-    return [(small, large, lid, d) for small, large in zip(sizes, sizes[1:])
-            for lid, d in zip(layers, layer_distances(
-                tables[small], tables[large], layers))]

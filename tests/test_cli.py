@@ -483,6 +483,34 @@ class TestExitCodes:
                      "--data", str(data)]) == EXIT_DATA
         assert "label out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "score", "finetune",
+                                         "prune", "stability", "train"])
+    def test_dataset_that_does_not_fit_the_model_is_data_error(
+            self, workdir, tmp_path, capsys, command):
+        # forward's batch-shape ValueError once made each of these exit 2
+        images = tmp_path / "images"
+        assert main(["gen-data", "--kind", "images", "--samples-per-class",
+                     "2", "--out", str(images)]) == 0
+        model = ["--model", str(workdir / "model.json")]
+        out = ["--out", str(tmp_path / "out")]
+        argv = {"eval": ["eval", *model, "--data", str(images)],
+                "score": ["score", *model, "--data", str(images), *out],
+                "finetune": ["finetune", *model, "--data", str(images),
+                             "--max-epochs", "1", *out],
+                "prune": ["prune", *model, "--data", str(images), *out],
+                "stability": ["stability", *model, "--data", str(images),
+                              "--sizes", "2,4"],
+                "train": ["train", "--arch", "toy-cnn-plain", "--data",
+                          str(workdir / "data"), "--max-epochs", "1", *out],
+                }[command]
+        assert main(argv) == EXIT_DATA
+        split = "test" if command == "eval" else "train"
+        shapes = ("(2,) does not match the model input (3, 8, 8)"
+                  if command == "train" else
+                  "(3, 8, 8) does not match the model input (2,)")
+        assert f"{split}.csv: sample shape {shapes}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ragged_report_is_data_error(self, tmp_path, capsys):
         # a row shorter than its header once died in format_table (exit 1)
         report = tmp_path / "r.tsv"

@@ -292,3 +292,16 @@ def test_production_code_never_calls_library_decompositions():
                 found += [f"{path.name}:{node.lineno}: import {a.name}"
                           for a in node.names if a.name in DECOMPOSITIONS]
     assert found == []
+
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function hid the engine -> metrics -> engine cycle
+    found = set()
+    for path in sorted(Path(energyprune.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                found |= {f"{path.name}:{node.lineno}"
+                          for node in ast.walk(scope)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(found) == []

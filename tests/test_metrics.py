@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from energyprune.engine import LabelError
+from energyprune.experiments import run_stability
 from energyprune.graph import INPUT, ModelGraph
 from energyprune.linalg import make_rng
 from energyprune.metrics import (count_complexity, evaluate, kendall_distance,
-                                 ranking_from_scores, select_stability_layers,
-                                 stability_curve)
-from energyprune.toybench import build_toy_cnn_plain, build_toy_mlp
+                                 ranking_from_scores, select_stability_layers)
+from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
+                                  build_toy_mlp)
 from helpers import _bn, _conv, _dense, _op
 
 
@@ -139,16 +140,18 @@ class TestStability:
         g = build_toy_cnn_plain()
         assert select_stability_layers(g) == ["c1.conv", "c2.conv",
                                               "c3.conv", "c4.conv"]
-        assert select_stability_layers(g, n_layers=2) == ["c1.conv", "c4.conv"]
+        # evenly spaced over the 57 scored layers of a deep network
+        assert select_stability_layers(build_reference_arch("resnet56")) == [
+            "stem.conv", "s1b0.conv1", "s1b8.conv2", "s2b8.conv2"]
 
     def test_curve_rows_and_nesting(self):
         g = build_toy_cnn_plain(seed=1)
         samples = make_rng(2).normal(size=(8, 3, 8, 8))
-        rows = stability_curve(g, samples, "nuclear", (2, 4, 8), seed=0)
+        rows = run_stability(0, (2, 4, 8), "nuclear", g, (samples, None))
         assert len(rows) == 2 * 4  # consecutive size pairs x 4 layers
         assert {(a, b) for a, b, _, _ in rows} == {(2, 4), (4, 8)}
         assert all(0.0 <= d <= 1.0 for _, _, _, d in rows)
-        again = stability_curve(g, samples, "nuclear", (2, 4, 8), seed=0)
+        again = run_stability(0, (2, 4, 8), "nuclear", g, (samples, None))
         assert rows == again
 
     # one size gave no rows, a repeated one compared a set with itself, and
@@ -160,10 +163,10 @@ class TestStability:
         samples = make_rng(0).normal(size=(8, 3, 8, 8))
         with pytest.raises(ValueError, match="sizes >= 1, got " + ",".join(
                 map(str, sorted(sizes))) + "$"):
-            stability_curve(g, samples, "nuclear", sizes)
+            run_stability(0, sizes, "nuclear", g, (samples, None))
 
     def test_pool_too_small(self):
         g = build_toy_cnn_plain()
         samples = make_rng(0).normal(size=(4, 3, 8, 8))
         with pytest.raises(ValueError):
-            stability_curve(g, samples, "nuclear", (2, 8))
+            run_stability(0, (2, 8), "nuclear", g, (samples, None))
