@@ -6,17 +6,26 @@ then row-major little-endian float32. Saving is deterministic, so
 save(load(save(g))) is byte-identical. All math runs in float64; float32
 appears only in the blob.
 
-Both directions stream: ``save_model`` writes each tensor's header and
-float32 payload straight into the open blob file, so it holds at most one
-tensor's float32 copy; ``load_model`` reads the blob once and decodes
-every tensor from that buffer at its manifest offset, so beside the
-float64 tensors it returns it holds one copy of the blob.
+Both directions stream: ``save_model`` works out the tensor index from
+the shapes and serializes the manifest before it touches either file,
+then unlinks the old blob and writes each tensor's header and float32
+payload straight into a new one, so it holds at most one tensor's
+float32 copy. A blob that is a symlink or a hard link is replaced, not
+written through. ``load_model`` maps the blob read-only and decodes every
+tensor from the mapping at its manifest offset, so beside the float64
+tensors it returns it holds no copy of the blob, and it unmaps the blob
+before it returns or raises. Saving never truncates a blob in place, so a
+load in another thread or process keeps reading the old file intact; but
+another program that truncates a blob in place while a load maps it ends
+the loading process with SIGBUS, which no ``except`` can catch.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -48,6 +57,11 @@ def write_blob(fh, a: np.ndarray) -> int:
         + fh.write(a)
 
 
+def _blob_size(a: np.ndarray) -> int:
+    """The bytes write_blob writes for a."""
+    return 4 * (1 + a.ndim + a.size)
+
+
 def read_blob(buf, offset) -> np.ndarray:
     """The tensor at byte offset of buf, as float64. A bad offset or a
     blob cut short is a data error, found before anything is allocated."""
@@ -76,13 +90,15 @@ def _blob_path(path: Path) -> Path:
 
 
 def save_model(g: ModelGraph, path) -> None:
+    """Writes g's manifest to path and its tensors to path + ".bin". A
+    save that fails before writing (say, on an attr JSON cannot encode)
+    leaves the model it would overwrite as it was."""
     path = Path(path)
     index = []
     offset = 0
-    with _blob_path(path).open("wb") as fh:
-        for nid, name, arr in g.parameters():
-            index.append({"node": nid, "name": name, "offset": offset})
-            offset += write_blob(fh, arr)
+    for nid, name, arr in g.parameters():
+        index.append({"node": nid, "name": name, "offset": offset})
+        offset += _blob_size(arr)
     manifest = {
         "format": "energyprune-model-v1",
         "input_shape": list(g.input_shape),
@@ -93,7 +109,15 @@ def save_model(g: ModelGraph, path) -> None:
         ],
         "tensors": index,
     }
-    path.write_text(json.dumps(manifest, indent=1) + "\n")
+    text = json.dumps(manifest, indent=1) + "\n"
+    blob = _blob_path(path)
+    # a new file, not the old one truncated: a load that maps the old
+    # blob keeps its inode, and ext4 unlinks far faster than it truncates
+    blob.unlink(missing_ok=True)
+    with blob.open("wb") as fh:
+        for _, _, arr in g.parameters():
+            write_blob(fh, arr)
+    path.write_text(text)
 
 
 # attrs the engine reads, with their least valid value: an int bound
@@ -143,7 +167,6 @@ def load_model(path) -> ModelGraph:
     if not isinstance(manifest, dict) \
             or manifest.get("format") != "energyprune-model-v1":
         raise DataFormatError(f"{path}: not an energyprune model manifest")
-    blob = _blob_path(path).read_bytes()
     try:
         if not all(type(d) is int and d >= 1 for d in manifest["input_shape"]):
             raise DataFormatError("input shape is not positive integers")
@@ -152,13 +175,8 @@ def load_model(path) -> ModelGraph:
             g.add(LayerNode(spec["id"], spec["kind"], dict(spec["attrs"]),
                             {}, list(spec["inputs"])))
         g.set_output(manifest["output"])
-        for entry in manifest["tensors"]:
-            t = read_blob(blob, entry["offset"])
-            # float32 squares sum to a finite float64 unless one is NaN or inf
-            if not math.isfinite(np.vdot(t, t)):
-                raise DataFormatError(f"{entry['node']}: tensor "
-                                      f"{entry['name']!r} holds NaN or inf")
-            g.nodes[entry["node"]].params[entry["name"]] = t
+        with _blob_path(path).open("rb") as fh, _map(fh) as blob:
+            _read_tensors(g, manifest["tensors"], blob)
         for node in g.nodes.values():
             _check_node(node)
         infer_shapes(g)
@@ -167,6 +185,38 @@ def load_model(path) -> ModelGraph:
         raise DataFormatError(
             f"{path}: malformed model ({type(exc).__name__}: {exc})") from exc
     return g
+
+
+def _map(fh):
+    """The open file fh mapped read-only; mmap refuses an empty file,
+    which a model without tensors has, so that one is an empty view."""
+    if os.fstat(fh.fileno()).st_size:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return memoryview(b"")
+
+
+def _read_tensors(g: ModelGraph, index, blob) -> None:
+    """Decodes the tensors index lists from blob into g's nodes. The
+    entries must tile the blob: each starts where the one before it ends,
+    the last ends at the blob's end, and none names a tensor twice."""
+    end, seen = 0, set()
+    for entry in index:
+        node, name, offset = entry["node"], entry["name"], entry["offset"]
+        if offset != end:
+            raise DataFormatError(f"{node}: tensor {name!r} starts at byte "
+                                  f"{offset!r}, the one before ends at {end}")
+        if (node, name) in seen:
+            raise DataFormatError(f"{node}: tensor {name!r} is listed twice")
+        seen.add((node, name))
+        t = read_blob(blob, offset)
+        end = offset + _blob_size(t)
+        # float32 squares sum to a finite float64 unless one is NaN or inf
+        if not math.isfinite(np.vdot(t, t)):
+            raise DataFormatError(f"{node}: tensor {name!r} holds NaN or inf")
+        g.nodes[node].params[name] = t
+    if end != len(blob):
+        raise DataFormatError(f"the tensors end at byte {end}, the tensor "
+                              f"blob has {len(blob)}")
 
 
 # --- datasets: delimited text, one sample per row, label last ------------
