@@ -7,12 +7,17 @@ with the graph input's entry. Channel provenance numbers every
 Dense/Conv2D output channel once as a slot, records the slot each
 node's channels (or features) come from, and groups the slots residual
 adds tie by min-label propagation; it is the one place that says how
-channels flow through a node kind. The rewrite keeps, at every node,
-the channels whose slot is not removed, slicing each tensor into a
-genuinely smaller graph whose forward pass matches the masked original.
+channels flow through a node kind. A graph keeps the slot table it
+last built and hands it out again while its structure (input shape and,
+per node, id, kind, attributes and inputs) is unchanged; any structural
+edit builds a fresh one. Everyone who asks for the table shares it, so
+it is read-only: its arrays refuse writes and its layer list is a tuple.
+The rewrite keeps, at every node, the channels whose slot is not
+removed, slicing each tensor into a genuinely smaller graph whose
+forward pass matches the masked original.
 It has one body, ``_rewrite``, which reads a slot table and a per-slot
 removal mask: ``rewrite_remove_channels`` validates a set of
-(layer, channel) removals against a fresh table and calls it, and
+(layer, channel) removals against the graph's table and calls it, and
 ``pruner.execute`` calls it on the table and mask its plan already holds.
 """
 
@@ -65,6 +70,7 @@ class ModelGraph:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.nodes: dict[str, LayerNode] = {}
         self.output_id: str | None = None
+        self._slots = None  # the last channel_provenance table, see there
 
     def add(self, node: LayerNode) -> LayerNode:
         if node.kind not in KINDS:
@@ -186,7 +192,7 @@ class ChannelSlots(NamedTuple):
 
     A group's root is its smallest slot, and group ids follow root order.
     """
-    layers: list  # Dense/Conv2D node ids, in node order
+    layers: tuple  # Dense/Conv2D node ids, in node order
     start: np.ndarray  # layers[i] owns slots start[i]:start[i + 1]
     layer: np.ndarray  # slot -> index into layers
     prov: dict  # node id or INPUT -> slot of each output channel, -1 if
@@ -237,7 +243,17 @@ def channel_provenance(g: ModelGraph) -> ChannelSlots:
     the features it flattens, an Add passes on each position's first
     slot and ties the positions' slots into one group, a Concat joins
     its inputs' slots, and a channel from the graph input is -1. A group
-    tied positionally to graph-input channels is not prunable."""
+    tied positionally to graph-input channels is not prunable.
+
+    The table is kept on g and returned again, the same object, while
+    g's ``_structure`` equals the one it was built from; any change to
+    the input shape or to a node's id, kind, attributes or inputs builds
+    a fresh table. Every caller shares it, so it is read-only: ``start``,
+    ``layer``, ``gid``, ``prunable`` and each ``prov`` array refuse
+    writes, and ``layers`` is a tuple."""
+    structure = _structure(g)
+    if g._slots is not None and g._slots.structure == structure:
+        return g._slots
     shapes = infer_shapes(g)  # validates wiring first
     layers, widths, tie_a, tie_b, frozen = [], [], [], [], []
     prov: dict = {INPUT: np.full(g.input_shape[0], -1)}
@@ -271,10 +287,15 @@ def channel_provenance(g: ModelGraph) -> ChannelSlots:
     prunable = np.ones(len(roots), dtype=bool)
     if frozen:
         prunable[gid[np.concatenate(frozen)]] = False
-    return ChannelSlots(
-        layers=layers, start=np.concatenate(([0], np.cumsum(widths, dtype=int))),
+    t = ChannelSlots(
+        layers=tuple(layers),
+        start=np.concatenate(([0], np.cumsum(widths, dtype=int))),
         layer=np.repeat(np.arange(len(layers)), widths), prov=prov,
-        gid=gid, prunable=prunable, structure=_structure(g))
+        gid=gid, prunable=prunable, structure=structure)
+    for a in (t.start, t.layer, t.gid, t.prunable, *prov.values()):
+        a.flags.writeable = False  # a passthrough aliases its producer's
+    g._slots = t
+    return t
 
 
 def build_channel_groups(g: ModelGraph) -> list[ChannelGroup]:

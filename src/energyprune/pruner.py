@@ -8,13 +8,17 @@ copying no tensor. The plan keeps the slot table and the per-slot
 removal mask it planned on, so execution runs the one structural rewrite
 (``graph._rewrite``) straight from them, without rebuilding the table or
 turning channels back into slots; it then cross-checks what it measures
-on the rewritten graph against the predictions.
+on the rewritten graph against the predictions. The plan's removal list,
+one (ChannelGroup, score) pair per removed group, is built the first
+time it is read: planning and execution only need the group ids, their
+scores and the mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +60,6 @@ class PruningSpec:
 
 @dataclass
 class PruningPlan:
-    removals: list  # (ChannelGroup, aggregate score), removal order
     predicted_shapes: dict
     predicted_flops: int
     predicted_params: int
@@ -66,13 +69,25 @@ class PruningPlan:
     # it, then for slot -1, whether the plan removes it
     slots: ChannelSlots = field(repr=False, compare=False)
     gone: np.ndarray = field(repr=False, compare=False)
+    # the removed group ids in removal order, and each one's aggregate score
+    picked: np.ndarray = field(repr=False, compare=False)
+    picked_scores: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def removals(self) -> list:
+        """(ChannelGroup, aggregate score) per removed group, in removal
+        order; built on first read."""
+        return list(zip(self.slots.groups(self.picked),
+                        self.picked_scores.tolist()))
 
     @property
     def removed_slots(self) -> set:
-        slots = set()
-        for grp, _ in self.removals:
-            slots.update(grp.slots)
-        return slots
+        """The removed (layer_id, channel) slots, read from ``gone``."""
+        t = self.slots
+        s = np.flatnonzero(self.gone[:-1])
+        owner = t.layer[s]
+        return set(zip([t.layers[i] for i in owner.tolist()],
+                       (s - t.start[owner]).tolist()))
 
     def n_removed_channels(self) -> int:
         return int(np.count_nonzero(self.gone))
@@ -124,18 +139,22 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
     predictions come from the slots each node keeps."""
     t = channel_provenance(g)
     check_score_widths(g, scores)
+    index = {lid: i for i, lid in enumerate(t.layers)}
     for what, names in (("per-layer ratio", spec.per_layer_ratios),
                         ("protected layer", spec.protected or ())):
         for lid in names:
             if lid not in g.nodes:
                 raise PlanError(f"{what} names layer {lid!r}, which the "
                                 "graph does not have")
+            if lid not in index:
+                raise PlanError(f"{what} names {g.nodes[lid].kind} node "
+                                f"{lid!r}, which is not a Dense or Conv2D "
+                                "layer")
     protected = set(spec.protected) if spec.protected is not None \
         else default_protected(g)
     table = scores if spec.mode == "per-layer" \
         or scores.normalization == "layer-l2" else normalize_layer_l2(scores)
 
-    index = {lid: i for i, lid in enumerate(t.layers)}
     widths = np.diff(t.start)
     score = np.zeros(len(t.gid))
     excluded = np.ones(len(t.layers), dtype=bool)  # unscored or protected
@@ -202,11 +221,10 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
     shapes, flops, params = _predict(g, t, gone)
     base = count_complexity(g)
     return PruningPlan(
-        removals=[(grp, float(gscore[grp.gid])) for grp in t.groups(picked)],
         predicted_shapes=shapes, predicted_flops=flops,
         predicted_params=params,
         baseline_flops=base.flops, baseline_params=base.params,
-        slots=t, gone=gone)
+        slots=t, gone=gone, picked=picked, picked_scores=gscore[picked])
 
 
 def _predict(g: ModelGraph, t: ChannelSlots,

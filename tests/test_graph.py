@@ -181,6 +181,55 @@ class TestChannelGroups:
             [("out", i) for i in range(4)]
 
 
+def _table_view(t):
+    return (t.layers, t.start.tolist(), t.layer.tolist(), t.gid.tolist(),
+            t.prunable.tolist(), {nid: a.tolist() for nid, a in t.prov.items()},
+            t.structure)
+
+
+def _widen_c4(g):
+    g.nodes["c4.conv"].attrs["out"] = 24
+    g.nodes["c4.bn"].attrs["channels"] = 24
+    g.nodes["out"].attrs["in"] = 24
+
+
+def _append_dense(g):
+    _dense(g, "head", "out", 4, 3)
+
+
+def _grow_input(g):
+    g.input_shape = (3, 16, 16)
+
+
+class TestSlotTableMemo:
+    def test_unchanged_graph_returns_the_same_table(self):
+        g = build_toy_cnn_residual()
+        t = channel_provenance(g)
+        assert build_channel_groups(g) and channel_provenance(g) is t
+        assert isinstance(t.layers, tuple)
+
+    @pytest.mark.parametrize("edit", [_widen_c4, _append_dense, _grow_input],
+                             ids=["attr-in-place", "appended-node",
+                                  "input-shape"])
+    def test_structural_edit_builds_a_fresh_table(self, edit):
+        g = build_toy_cnn_plain()
+        before = channel_provenance(g)
+        edit(g)
+        after = channel_provenance(g)
+        fresh = build_toy_cnn_plain()
+        edit(fresh)
+        assert after is not before
+        assert _table_view(after) == _table_view(channel_provenance(fresh))
+        assert channel_provenance(g) is after
+
+    def test_table_is_read_only(self):
+        t = channel_provenance(build_toy_cnn_plain())
+        for arr in (t.gid, t.start, t.layer, t.prunable, t.prov[INPUT],
+                    t.prov["c2.conv"], t.prov["c2.relu"]):
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+
+
 def _rewrite_models():
     for name, fn in ZOO_BUILDERS.items():
         yield pytest.param(lambda fn=fn: fn(4, 0), id=name)

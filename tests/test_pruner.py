@@ -235,13 +235,17 @@ class TestPlanIntegrity:
 
     @pytest.mark.parametrize("field", ["per_layer_ratios", "protected"])
     def test_spec_names_a_layer_the_graph_lacks(self, field):
-        g = build_toy_mlp(hidden=8, seed=0)
-        table = compute_scores(g, "weight", None)
-        value = {"fc9": 0.5} if field == "per_layer_ratios" else ["fc9"]
-        spec = PruningSpec(mode="per-layer", ratio=0.25, criterion="weight",
-                           **{field: value})
-        with pytest.raises(PlanError, match="'fc9'"):
-            plan(g, table, spec)
+        # a missing node, and nodes that are not Dense or Conv2D layers
+        for build, lid in ((lambda: build_toy_mlp(hidden=8, seed=0), "fc9"),
+                           (build_toy_cnn_plain, "c1.bn"),
+                           (build_toy_cnn_plain, "c2.relu")):
+            g = build()
+            table = compute_scores(g, "weight", None)
+            value = {lid: 0.5} if field == "per_layer_ratios" else [lid]
+            spec = PruningSpec(mode="per-layer", ratio=0.25,
+                               criterion="weight", **{field: value})
+            with pytest.raises(PlanError, match=f"'{lid}'"):
+                plan(g, table, spec)
 
     def test_custom_protected_layers(self):
         g = build_toy_mlp(hidden=4, seed=0)
@@ -432,6 +436,8 @@ def test_plan_matches_the_union_find_reference(data):
         assert _as_reference(got) == want
         assert all(grp.prunable for grp, _ in got.removals)
         assert got.n_removed_channels() == len(got.removed_slots)
+        assert got.removed_slots == set().union(
+            *(grp.slots for grp, _ in got.removals))
         done = dict(Counter(done) + Counter(
             lid for grp, _ in got.removals for lid, _ in grp.slots))
         g = execute(g, got)
@@ -453,6 +459,19 @@ def test_plan_errors_match_the_reference(name, mode, r):
     want = _outcome(lambda: reference_plan(g, table, spec))
     assert isinstance(want, str)
     assert _outcome(lambda: plan(g, table, spec)) == want
+
+
+def test_plan_and_execute_build_no_removal_list():
+    g = init_params(build_reference_arch("googlenet"), 0)
+    table = score_weight(g)
+    spec = PruningSpec(mode="global", threshold=0.3, criterion="weight")
+    p = plan(g, table, spec)
+    execute(g, p)
+    assert "removals" not in vars(p)
+    assert _as_reference(p) == reference_plan(g, table, spec)
+    assert p.removals is p.removals
+    assert p.removed_slots == set().union(*(grp.slots
+                                            for grp, _ in p.removals))
 
 
 @pytest.mark.parametrize("name", ["vgg16bn", "googlenet"])
