@@ -18,7 +18,7 @@ from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
 from .linalg import ConvergenceError, DomainError
-from .metrics import count_complexity
+from .metrics import FLOPS_CONVENTION, count_complexity
 from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       format_table, load_config, load_dataset, load_model,
                       plan_rows, read_score_table, read_tsv, save_dataset,
@@ -172,7 +172,7 @@ def cmd_count(args):
     rows = [(nid, f, p) for nid, (f, p) in rep.per_layer.items() if f or p]
     print(format_table(("layer", "flops", "params"), rows))
     print(f"\ntotal: {rep.flops} FLOPs, {rep.params} params "
-          f"({rep.convention})")
+          f"({FLOPS_CONVENTION})")
 
 
 def cmd_stability(args):

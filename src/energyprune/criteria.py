@@ -186,11 +186,8 @@ def score_lrp(g: ModelGraph, samples: np.ndarray, seed: int = 0) -> ScoreTable:
     """LRP baseline: neuron score is the magnitude of its summed
     relevance over the sample set. Dense-only MLPs."""
     rel = lrp_relevances(g, samples)
-    lid = logits_node(g)
     table = ScoreTable(criterion="lrp", n_samples=samples.shape[0], seed=seed)
     for layer in scored_layers(g):
-        if layer == lid:
-            continue
         table.scores[layer] = np.abs(rel[layer].sum(axis=0))
     return table.validate()
 

@@ -141,6 +141,9 @@ def _windows(x, k, stride, pad, fill=0.0):
 # sample, so the chunks give the bits of one whole-batch call.
 _CONV_BLOCK_BYTES = 512 * 1024
 
+# BatchNorm's running-statistics momentum: fixed, not a model attribute
+BN_MOMENTUM = 0.1
+
 
 @lru_cache(maxsize=256)
 def _window_index(width, kh, kw, stride, y0, x0, ho, wo):
@@ -211,7 +214,7 @@ def _forward_node(node, xs, mode, rng, cache):
             xc = x - mean.reshape(shape)
             buf = np.square(xc)
             var = buf.sum(axis=axes) / count
-            m = node.attrs.get("bn_momentum", 0.1)
+            m = BN_MOMENTUM
             unbiased = var * count / max(count - 1, 1)
             node.params["mean"][:] = (1 - m) * node.params["mean"] + m * mean
             node.params["var"][:] = (1 - m) * node.params["var"] + m * unbiased

@@ -18,7 +18,7 @@ from .engine import TrainConfig, evaluate, train
 from .linalg import make_rng
 from .metrics import (count_complexity, layer_distances,
                       select_stability_layers)
-from .pruner import PruningSpec, execute, plan
+from .pruner import PruningSpec, execute, plan, prune_pipeline
 from .toybench import (SELECT_BATCHES, ToyDatasetSpec, ZOO_BUILDERS,
                        build_toy_mlp, gen_blobs, gen_class_images,
                        select_by_loss)
@@ -45,15 +45,15 @@ def run_toy_experiment(seed: int = 0):
     """Criterion-comparison run: train, then per criterion prune a
     third of the hidden neurons globally with no fine-tuning.
 
-    Returns {"rows": [(name, accuracy, drop, params, flops)], ...} with
-    the unpruned model first."""
+    Returns {"seed": seed, "rows": [(name, accuracy, drop, params,
+    flops)]} with the unpruned model first."""
     spec = ToyDatasetSpec(classes=4, samples_per_class=TOY_PER_CLASS,
                           center_scale=TOY_CENTER_SCALE, std=TOY_STD,
                           seed=seed, centers=TOY_CENTERS)
     data = gen_blobs(spec)
     cfg = replace(TOY_TRAIN, seed=seed)
     model = build_toy_mlp(k=4, hidden=TOY_HIDDEN, seed=seed)
-    model, history = train(model, (data.train_x, data.train_y), cfg)
+    model, _ = train(model, (data.train_x, data.train_y), cfg)
 
     # fresh datapoints, unseen in training, for criterion computation
     score_set = gen_blobs(replace(spec, seed=seed + 1000,
@@ -65,15 +65,15 @@ def run_toy_experiment(seed: int = 0):
     orig_acc = evaluate(model, (data.test_x, data.test_y))
     rows = [("original", orig_acc, 0.0, base.params, base.flops)]
     for criterion in CRITERIA:
-        table = compute_scores(model, criterion, sx, labels=sy, seed=seed)
         spec_p = PruningSpec(mode="global", threshold=TOY_PRUNE_FRACTION,
                              criterion=criterion)
-        pruned = execute(model, plan(model, table, spec_p))
+        pruned, rep = prune_pipeline(model, (data.train_x, data.train_y),
+                                     spec_p, scoring_samples=sx,
+                                     scoring_labels=sy, seed=seed)
         acc = evaluate(pruned, (data.test_x, data.test_y))
-        comp = count_complexity(pruned)
-        rows.append((criterion, acc, orig_acc - acc, comp.params, comp.flops))
-    return {"seed": seed, "rows": rows, "history": history,
-            "model": model, "dataset": data}
+        rows.append((criterion, acc, orig_acc - acc, rep["params_after"],
+                     rep["flops_after"]))
+    return {"seed": seed, "rows": rows}
 
 
 def toy_experiment_report(result) -> list[tuple]:

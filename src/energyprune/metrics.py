@@ -26,7 +26,6 @@ class ComplexityReport:
     flops: int
     params: int
     per_layer: dict = field(default_factory=dict)  # id -> (flops, params)
-    convention: str = FLOPS_CONVENTION
 
     def reduction_vs(self, reference: "ComplexityReport") -> tuple[float, float]:
         """(flops %, params %) removed relative to the reference."""

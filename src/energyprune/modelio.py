@@ -134,8 +134,8 @@ _ATTRS = {
 
 def _check_node(node: LayerNode) -> None:
     """The attrs the engine reads are in range (a padding at most half
-    the window), and the node holds exactly the tensors they imply (a
-    Conv2D bias is optional)."""
+    the window, a Dropout rate below 1), and the node holds exactly the
+    tensors they imply (a Conv2D bias is optional)."""
     a = {"pad": 0, **node.attrs} if node.kind in ("MaxPool", "AvgPool") \
         else node.attrs
     for name, least in _ATTRS.get(node.kind, {}).items():
@@ -145,6 +145,8 @@ def _check_node(node: LayerNode) -> None:
                                   f"not a number >= {least}")
     if node.kind in ("Conv2D", "MaxPool", "AvgPool") and a["pad"] > a["k"] // 2:
         raise DataFormatError(f"{node.id}: attr 'pad' exceeds k // 2")
+    if node.kind == "Dropout" and a["p"] >= 1:
+        raise DataFormatError(f"{node.id}: attr 'p' is not below 1")
     o, i, k, c = (a.get(name) for name in ("out", "in", "k", "channels"))
     want = {"Dense": {"w": (o, i), "b": (o,)},
             "Conv2D": {"w": (o, i, k, k), "b": (o,)},

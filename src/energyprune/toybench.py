@@ -166,17 +166,11 @@ def build_toy_cnn_plain(k: int = 4, seed: int = 0) -> ModelGraph:
 def build_toy_cnn_residual(k: int = 4, seed: int = 0) -> ModelGraph:
     g = ModelGraph((3, 8, 8))
     stem = _cbr(g, "stem", INPUT, 3, 16)
-    _conv(g, "b1.conv1", stem, 16, 16)
-    _bn(g, "b1.bn1", "b1.conv1", 16)
-    _op(g, "b1.relu1", "ReLU", "b1.bn1")
-    _conv(g, "b1.conv2", "b1.relu1", 16, 16)
-    _bn(g, "b1.bn2", "b1.conv2", 16)
-    _op(g, "b1.add", "Add", [stem, "b1.bn2"])
-    _op(g, "b1.relu2", "ReLU", "b1.add")
+    b1 = _resnet_block(g, "b1", stem, 16, 16, 1, bias=True)
     # downsampling block with a 1x1 projection shortcut
-    _conv(g, "b2.conv1", "b1.relu2", 16, 32, stride=2)
+    _conv(g, "b2.conv1", b1, 16, 32, stride=2)
     _bn(g, "b2.bn1", "b2.conv1", 32)
-    _conv(g, "b2.proj", "b1.relu2", 16, 32, k=1, stride=2, pad=0)
+    _conv(g, "b2.proj", b1, 16, 32, k=1, stride=2, pad=0)
     _bn(g, "b2.projbn", "b2.proj", 32)
     _op(g, "b2.add", "Add", ["b2.bn1", "b2.projbn"])
     _op(g, "b2.relu", "ReLU", "b2.add")
@@ -257,15 +251,15 @@ def build_vgg16bn() -> ModelGraph:
     return g
 
 
-def _resnet_block(g, name, src, c_in, c_out, stride):
-    _conv(g, f"{name}.conv1", src, c_in, c_out, stride=stride, bias=False)
+def _resnet_block(g, name, src, c_in, c_out, stride, bias=False):
+    _conv(g, f"{name}.conv1", src, c_in, c_out, stride=stride, bias=bias)
     _bn(g, f"{name}.bn1", f"{name}.conv1", c_out)
     _op(g, f"{name}.relu1", "ReLU", f"{name}.bn1")
-    _conv(g, f"{name}.conv2", f"{name}.relu1", c_out, c_out, bias=False)
+    _conv(g, f"{name}.conv2", f"{name}.relu1", c_out, c_out, bias=bias)
     _bn(g, f"{name}.bn2", f"{name}.conv2", c_out)
     if stride != 1 or c_in != c_out:
         _conv(g, f"{name}.proj", src, c_in, c_out, k=1, stride=stride,
-              pad=0, bias=False)
+              pad=0, bias=bias)
         _bn(g, f"{name}.projbn", f"{name}.proj", c_out)
         skip = f"{name}.projbn"
     else:

@@ -18,12 +18,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from energyprune.criteria import normalize_layer_l2
 from energyprune.engine import (cross_entropy, forward, backward, init_params,
                                 logits_node)
-from energyprune.graph import (INPUT, PASSTHROUGH, LayerNode, ModelGraph,
-                               RewriteRefusal, infer_shapes,
-                               rewrite_remove_channels)
+from energyprune.graph import (INPUT, PASSTHROUGH, ModelGraph, RewriteRefusal,
+                               infer_shapes, rewrite_remove_channels)
 from energyprune.linalg import make_rng
 from energyprune.metrics import count_complexity
 from energyprune.pruner import PlanError, check_score_widths, default_protected
+from energyprune.toybench import _bn, _conv, _dense, _op
 
 
 # --- eigendecomposition oracle -------------------------------------------
@@ -49,33 +49,6 @@ def oracle_nuclear_norm(a: np.ndarray) -> float:
 
 
 # --- tiny graphs, one per layer kind -------------------------------------
-
-def _dense(g, nid, src, n_in, n_out):
-    return g.add(LayerNode(nid, "Dense", {"in": n_in, "out": n_out},
-                           {"w": np.zeros((n_out, n_in)),
-                            "b": np.zeros(n_out)}, [src]))
-
-
-def _conv(g, nid, src, c_in, c_out, k=3, stride=1, pad=1, bias=True):
-    params = {"w": np.zeros((c_out, c_in, k, k))}
-    if bias:
-        params["b"] = np.zeros(c_out)
-    return g.add(LayerNode(nid, "Conv2D",
-                           {"in": c_in, "out": c_out, "k": k,
-                            "stride": stride, "pad": pad,
-                            "no_bias": not bias}, params, [src]))
-
-
-def _bn(g, nid, src, c):
-    return g.add(LayerNode(nid, "BatchNorm", {"channels": c, "eps": 1e-5},
-                           {"gamma": np.ones(c), "beta": np.zeros(c),
-                            "mean": np.zeros(c), "var": np.ones(c)}, [src]))
-
-
-def _op(g, nid, kind, src, **attrs):
-    srcs = src if isinstance(src, list) else [src]
-    return g.add(LayerNode(nid, kind, attrs, {}, srcs))
-
 
 def _finish(g, seed, n=4, classes=3):
     """Init params and draw a matching random batch."""

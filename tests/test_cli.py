@@ -12,7 +12,8 @@ from energyprune.criteria import CRITERIA, compute_scores
 from energyprune.experiments import TOY_REPORT_HEADER, toy_experiment_report
 from energyprune.modelio import (SCORE_HEADER, load_model, read_tsv,
                                  save_model, score_table_rows, write_tsv)
-from energyprune.toybench import (build_reference_arch, build_toy_cnn_plain,
+from energyprune.toybench import (build_reference_arch,
+                                  build_toy_cnn_inception, build_toy_cnn_plain,
                                   build_toy_cnn_residual, build_toy_mlp)
 
 
@@ -395,6 +396,47 @@ class TestExitCodes:
         save_model(g, model)
         assert main(["count", "--model", str(model)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("p", [1, 1.0, 2.0])
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    def test_dropout_rate_of_one_or_more_is_data_error(
+            self, workdir, tmp_path, capsys, command, p):
+        # finetune once exited 4 at p = 1 and trained on zeros at p = 2;
+        # eval exited 0 on both
+        model = tmp_path / "m.json"
+        save_model(build_toy_mlp(hidden=4, seed=0), model)
+        manifest = json.loads(model.read_text())
+        drop = next(n for n in manifest["nodes"] if n["id"] == "drop1")
+        drop["attrs"]["p"] = p
+        model.write_text(json.dumps(manifest))
+        out = ([] if command == "eval" else
+               ["--max-epochs", "1", "--out", str(tmp_path / "out")])
+        assert main([command, "--model", str(model),
+                     "--data", str(workdir / "data"), *out]) == EXIT_DATA
+        assert "drop1: attr 'p'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bn_momentum_attr_is_ignored(self, tmp_path):
+        # the engine once read it, so a string there made finetune die
+        # with a TypeError traceback
+        images = tmp_path / "images"
+        assert main(["gen-data", "--kind", "images", "--samples-per-class",
+                     "4", "--out", str(images)]) == 0
+        plain, odd = tmp_path / "plain.json", tmp_path / "odd.json"
+        save_model(build_toy_cnn_inception(seed=0), plain)
+        manifest = json.loads(plain.read_text())
+        for node in manifest["nodes"]:
+            if node["kind"] == "BatchNorm":
+                node["attrs"]["bn_momentum"] = "x"
+        odd.write_text(json.dumps(manifest))
+        (tmp_path / "odd.json.bin").write_bytes(
+            (tmp_path / "plain.json.bin").read_bytes())
+        for model in (plain, odd):
+            assert main(["finetune", "--model", str(model), "--data",
+                         str(images), "--max-epochs", "1", "--out",
+                         str(tmp_path / f"tuned-{model.stem}.json")]) == 0
+        assert (tmp_path / "tuned-odd.json.bin").read_bytes() \
+            == (tmp_path / "tuned-plain.json.bin").read_bytes()
+
     def test_unreadable_model_blob_is_data_error(self, tmp_path):
         model = tmp_path / "m.json"
         save_model(build_toy_mlp(hidden=4, seed=0), model)
@@ -600,7 +642,10 @@ def test_corrupted_model_never_raises(corruptible, data):
     (root / "corrupted.json.bin").write_bytes(blob)
     with np.errstate(all="ignore"):
         for argv in (["count", "--model", str(model)],
-                     ["eval", "--model", str(model), "--data", str(dataset)]):
+                     ["eval", "--model", str(model), "--data", str(dataset)],
+                     ["finetune", "--model", str(model), "--data",
+                      str(dataset), "--max-epochs", "1",
+                      "--out", str(root / "tuned.json")]):
             assert main(argv) in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
 
 
