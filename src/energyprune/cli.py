@@ -25,8 +25,9 @@ from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       save_model, score_table_rows, write_tsv)
 from .pruner import (PlanError, PruningSpec, check_score_widths,
                      execute, plan)
-from .toybench import (ToyDatasetSpec, ZOO_BUILDERS, build_reference_arch,
-                       build_toy_mlp, gen_blobs, gen_class_images)
+from .toybench import (REFERENCE_BUILDERS, ToyDatasetSpec, ZOO_BUILDERS,
+                       build_reference_arch, build_toy_mlp, gen_blobs,
+                       gen_class_images)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -167,7 +168,12 @@ def cmd_eval(args):
 
 
 def cmd_count(args):
-    g = load_model(args.model) if args.model else _build_arch(args.arch, 0)
+    if args.model:
+        g = load_model(args.model)
+    elif args.arch in REFERENCE_BUILDERS:
+        g = build_reference_arch(args.arch)  # counting reads only shapes
+    else:
+        g = _build_arch(args.arch, 0)
     rep = count_complexity(g)
     rows = [(nid, f, p) for nid, (f, p) in rep.per_layer.items() if f or p]
     print(format_table(("layer", "flops", "params"), rows))

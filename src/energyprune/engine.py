@@ -784,8 +784,7 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     velocity = {key: np.zeros_like(arr) for nid, name, arr in g.parameters()
                 for key in [(nid, name)] if name not in ("mean", "var")}
     scratch = np.empty(max((v.size for v in velocity.values()), default=0))
-    best = g.copy()
-    best_acc = -1.0
+    best_acc = -1.0  # below any accuracy, so epoch 0 always sets best
     since_best = 0
     history = []
     step_seed = cfg.seed + 1

@@ -5,6 +5,12 @@ comparison, a zoo of miniature CNNs covering every structural pattern
 (plain chain, residual add, inception concat, dense concat), and
 zero-weight builders for the five full-size reference architectures
 used to calibrate the FLOPs/params counter.
+
+A builder gives each Dense and Conv2D weight and bias a read-only zero
+view that owns no memory; ``init_params`` replaces them with fresh
+arrays, and ``ModelGraph.copy`` (so ``train``) with writeable zeros.
+BatchNorm tensors are real arrays, since a train-mode forward updates
+their running statistics in place.
 """
 
 from __future__ import annotations
@@ -99,16 +105,21 @@ def gen_class_images(classes: int = 4, samples_per_class: int = 256,
 
 # --- builders -----------------------------------------------------------
 
+def _zeros(*shape):
+    """A read-only float64 zero tensor that owns no memory."""
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
 def _dense(g, nid, src, n_in, n_out):
     return g.add(LayerNode(nid, "Dense", {"in": n_in, "out": n_out},
-                           {"w": np.zeros((n_out, n_in)), "b": np.zeros(n_out)},
+                           {"w": _zeros(n_out, n_in), "b": _zeros(n_out)},
                            [src]))
 
 
 def _conv(g, nid, src, c_in, c_out, k=3, stride=1, pad=1, bias=True):
-    params = {"w": np.zeros((c_out, c_in, k, k))}
+    params = {"w": _zeros(c_out, c_in, k, k)}
     if bias:
-        params["b"] = np.zeros(c_out)
+        params["b"] = _zeros(c_out)
     return g.add(LayerNode(nid, "Conv2D",
                            {"in": c_in, "out": c_out, "k": k,
                             "stride": stride, "pad": pad,
@@ -372,8 +383,10 @@ REFERENCE_BUILDERS = {
 
 
 def build_reference_arch(name: str) -> ModelGraph:
-    """Full-size architecture with all-zero weights, enough for
-    complexity counting; ``init_params`` makes it trainable."""
+    """Full-size architecture whose Dense and Conv2D tensors are
+    read-only zero views, enough for complexity counting (``count --arch``
+    counts it so); ``init_params`` makes it trainable, and ``copy``
+    gives it writeable zeros."""
     try:
         return REFERENCE_BUILDERS[name]()
     except KeyError:

@@ -26,6 +26,12 @@ from energyprune.pruner import PlanError, check_score_widths, default_protected
 from energyprune.toybench import _bn, _conv, _dense, _op
 
 
+# run_toy_experiment(seed) results of this pytest run, by seed. Criterion 1's
+# fixture fills it, and the pinned seed-0 test reads seed 0 from it instead
+# of training it again; run alone, that test trains seed 0 itself.
+TOY_EXPERIMENTS: dict = {}
+
+
 # --- eigendecomposition oracle -------------------------------------------
 
 def oracle_singular_values(a: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ from energyprune.linalg import (make_rng, nuclear_norm, nuclear_norms,
 from energyprune.metrics import count_complexity, kendall_distance
 from energyprune.toybench import (build_reference_arch, build_toy_mlp,
                                   build_zoo)
-from helpers import _bn, _conv, _dense, _op, oracle_nuclear_norm
+from helpers import (TOY_EXPERIMENTS, _bn, _conv, _dense, _op,
+                     oracle_nuclear_norm)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -45,7 +46,9 @@ SEEDS = (0, 1, 2, 3, 4)
 def toy_results():
     t0 = time.time()
     results = [run_toy_experiment(seed=s) for s in SEEDS]
-    return results, time.time() - t0
+    elapsed = time.time() - t0
+    TOY_EXPERIMENTS.update(zip(SEEDS, results))
+    return results, elapsed
 
 
 def _median_drops(results):

@@ -1,6 +1,7 @@
 """Command-line interface: pipeline wiring and exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_count_by_arch(capsys):
     assert main(["count", "--arch", "resnet56"]) == 0
     out = capsys.readouterr().out
     assert "total:" in out and "FLOPs" in out
+
+
+def test_count_by_reference_arch_initializes_no_weights(capsys):
+    # counting reads only shapes; drawing vgg16bn's 15.25 M weights first
+    # once traced a 135 MiB peak
+    tracemalloc.start()
+    try:
+        assert main(["count", "--arch", "vgg16bn"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    total = capsys.readouterr().out.splitlines()[-1]
+    assert total.startswith("total: 313725952 FLOPs, 15253578 params ")
 
 
 def test_reference_arch_weights_are_seeded():

@@ -630,6 +630,24 @@ class TestTraining:
         acc = evaluate(g, (blobs.test_x, blobs.test_y))
         assert acc > 0.5  # far above the 0.25 chance level
 
+    def test_one_epoch_copies_the_model_twice(self, blobs, monkeypatch):
+        # the working copy and epoch 0's best; the input graph's read-only
+        # zero tensors are never written
+        copies = []
+        copy = ModelGraph.copy
+        monkeypatch.setattr(ModelGraph, "copy",
+                            lambda g: copies.append(g) or copy(g))
+        g = ModelGraph((2,))
+        _dense(g, "h", INPUT, 2, 8)
+        _op(g, "r", "ReLU", "h")
+        _dense(g, "out", "r", 8, 4)
+        cfg = TrainConfig(max_epochs=1, batch_size=32, seed=0)
+        best, history = train(g, (blobs.train_x, blobs.train_y), cfg)
+        assert len(copies) == 2 and len(history) == 1
+        assert np.any(best.nodes["out"].params["b"])
+        for _, _, a in g.parameters():
+            assert not a.flags.writeable and not np.any(a)
+
     def test_divergence_detected(self, blobs):
         g = build_toy_mlp(hidden=8, seed=0)
         g.nodes["fc1"].params["w"][:] = 1e200

@@ -1,11 +1,12 @@
 """Dataset generators and model builders."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from energyprune.engine import forward
+from energyprune.engine import forward, init_params
 from energyprune.graph import infer_shapes
 from energyprune.linalg import make_rng
 from energyprune.metrics import count_complexity
@@ -125,6 +126,53 @@ class TestReferenceArchitectures:
             g = build_reference_arch(name)
             shapes = infer_shapes(g)
             assert shapes[g.output_id] == (10,)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDERS))
+    def test_building_allocates_no_layer_tensor(self, name):
+        # zero-filled Dense/Conv2D tensors were ~201 MB over the five
+        tracemalloc.start()
+        try:
+            build_reference_arch(name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_layer_tensors_are_read_only_zeros(self):
+        for name in REFERENCE_BUILDERS:
+            for node in build_reference_arch(name).nodes.values():
+                a = node.attrs
+                if node.kind == "Dense":
+                    shapes = {"w": (a["out"], a["in"]), "b": (a["out"],)}
+                elif node.kind == "Conv2D":
+                    shapes = {"w": (a["out"], a["in"], a["k"], a["k"])}
+                    if not a["no_bias"]:
+                        shapes["b"] = (a["out"],)
+                else:
+                    # BatchNorm tensors are real arrays: a train-mode
+                    # forward updates the running statistics in place
+                    assert all(t.flags.writeable
+                               for t in node.params.values()), node.id
+                    continue
+                assert {k: t.shape for k, t in node.params.items()} == shapes
+                for t in node.params.values():
+                    assert t.dtype == np.float64 and not t.flags.writeable
+                    assert not np.any(t), node.id
+
+    def test_copy_and_init_params_give_writeable_tensors(self):
+        g = build_reference_arch("resnet56")
+        with pytest.raises(ValueError):
+            g.nodes["stem.conv"].params["w"][0] = 1.0
+        with pytest.raises(ValueError):
+            g.nodes["out"].params["b"] += 1.0
+        c = g.copy()
+        for (nid, name, a), (_, _, b) in zip(g.parameters(), c.parameters()):
+            assert b.flags.writeable and b.flags.c_contiguous, (nid, name)
+            assert np.array_equal(a, b)
+        c.nodes["stem.conv"].params["w"][0] = 1.0
+        assert not np.any(g.nodes["stem.conv"].params["w"])
+        init_params(g, 0)
+        assert all(t.flags.writeable for _, _, t in g.parameters())
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
