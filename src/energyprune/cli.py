@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=CRITERIA, default="nuclear")
     p.add_argument("--mode", choices=["global", "per-layer"], default="global")
     p.add_argument("--ratio", type=float,
-                   help="per-layer mode: fraction of each layer to remove")
+                   help="per-layer mode: each layer loses floor(ratio * "
+                   "width) channels, or fewer if an Add ties it to less")
     p.add_argument("--threshold", type=float,
                    help="global mode: fraction of all prunable channels")
     p.add_argument("--plan", help="write the auditable plan TSV here")

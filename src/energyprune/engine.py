@@ -776,6 +776,9 @@ def train(g: ModelGraph, dataset, cfg: TrainConfig):
     rng = make_rng(cfg.seed)
     perm = rng.permutation(len(x))
     n_val = int(round(cfg.val_fraction * len(x)))
+    if n_val == len(x):
+        raise ValueError(f"val_fraction {cfg.val_fraction} of {len(x)} "
+                         "samples leaves none to train on")
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     xtr, ytr = x[tr_idx], y[tr_idx]
     xval, yval = (x[val_idx], y[val_idx]) if n_val else (xtr, ytr)

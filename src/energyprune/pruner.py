@@ -1,8 +1,9 @@
 """Turning a ScoreTable into a PruningPlan, executing it, verifying it.
 
 Planning works on the graph's channel-slot arrays: it scores each
-removal group by its lowest member score, ranks groups, and removes the
-lowest until the per-layer ratio or global threshold is met. It predicts
+removal group by its lowest member score and, in one walk for both
+modes, takes groups lowest first while each layer they touch has room
+(per layer floor(r * c), globally c - 1 until the threshold). It predicts
 the pruned shapes, FLOPs and parameters from the slots each node keeps,
 copying no tensor. The plan keeps the slot table and the per-slot
 removal mask it planned on, so execution runs the one structural rewrite
@@ -40,7 +41,7 @@ class ConsistencyError(RuntimeError):
 @dataclass
 class PruningSpec:
     mode: str = "global"  # or "per-layer"
-    ratio: float = 0.0  # per-layer ratio r_l (uniform) in [0, 1)
+    ratio: float = 0.0  # per-layer r in [0, 1): at most floor(r * c) per layer
     per_layer_ratios: dict = field(default_factory=dict)  # overrides per layer
     threshold: float = 0.0  # global: target fraction of prunable channels
     criterion: str = "nuclear"
@@ -120,10 +121,11 @@ def check_score_widths(g: ModelGraph, scores: ScoreTable) -> None:
 
 
 def plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec) -> PruningPlan:
-    """Select removal groups by score; per-layer mode takes the
-    floor(r_l * c_l) lowest channels of each layer (closed under
-    grouping), global mode ranks layer-l2-normalized group scores and
-    removes lowest-first until the threshold fraction is reached."""
+    """Select removal groups by score, lowest first: per-layer mode while
+    each layer a group touches stays within floor(r_l * c_l), so a layer
+    loses exactly that unless an Add ties it to a smaller target; global
+    mode by layer-l2-normalized group scores until the threshold fraction
+    is reached."""
     return _plan(g, scores, spec, 1.0, {})
 
 
@@ -135,7 +137,9 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
     toward them.
 
     Works on the slot table: a group's score is the lowest score of its
-    slots, ties rank by group id (smallest slot first), and the
+    slots, ties rank by group id (smallest slot first), and a group is
+    taken while each layer it touches has room for its slots: per layer
+    max(0, floor(r * c * frac) - done), globally the width less one. The
     predictions come from the slots each node keeps."""
     t = channel_provenance(g)
     check_score_widths(g, scores)
@@ -169,55 +173,43 @@ def _plan(g: ModelGraph, scores: ScoreTable, spec: PruningSpec,
     np.minimum.at(gscore, t.gid[cand], score[cand])
 
     if spec.mode == "per-layer":
-        chosen = np.zeros(len(ok), dtype=bool)
-        for i in np.unique(t.layer[cand]).tolist():
-            lid = t.layers[i]
-            r = spec.per_layer_ratios.get(lid, spec.ratio)
-            c = g.nodes[lid].attrs["out"] + done.get(lid, 0)
-            k = int(np.floor(r * c * frac)) - done.get(lid, 0)
-            if k <= 0:
-                continue
-            slots = t.start[i] + np.flatnonzero(cand[t.start[i]:t.start[i + 1]])
-            ranked = slots[np.argsort(score[slots], kind="stable")]
-            chosen[t.gid[ranked[:k]]] = True
-        picked = np.flatnonzero(chosen)
-        picked = picked[np.argsort(gscore[picked], kind="stable")]
+        room = []  # floor(r * c * frac) on the widths c before earlier steps
+        for lid, c, skip in zip(t.layers, widths.tolist(), excluded.tolist()):
+            r, d = spec.per_layer_ratios.get(lid, spec.ratio), done.get(lid, 0)
+            room.append(0 if skip
+                        else max(0, int(np.floor(r * (c + d) * frac)) - d))
+        target = sum(room)  # every room is 0 once this many are taken
     else:
+        room = (widths - 1).tolist()  # never empty a layer
         total = int(cand.sum()) + sum(done.values())
         target = int(round(spec.threshold * total * frac)) - sum(done.values())
-        gids = np.flatnonzero(ok)
-        ranked = gids[np.lexsort((gids, gscore[gids]))].tolist()
-        # each candidate group's (layer, slot count) pairs, by group id
-        n_layers = len(t.layers)
-        pairs, counts = np.unique(t.gid[cand] * n_layers + t.layer[cand],
-                                  return_counts=True)
-        bounds = np.searchsorted(pairs // n_layers,
-                                 np.arange(len(ok) + 1)).tolist()
-        pair_layer, counts = (pairs % n_layers).tolist(), counts.tolist()
-        size = np.bincount(t.gid[cand], minlength=len(ok)).tolist()
-        remaining = widths.tolist()
-        removed, walk = 0, []
-        for gid in ranked:
-            if removed >= target:
-                break
-            span = range(bounds[gid], bounds[gid + 1])
-            if any(remaining[pair_layer[j]] - counts[j] < 1 for j in span):
-                continue  # never empty a layer
-            for j in span:
-                remaining[pair_layer[j]] -= counts[j]
-            walk.append(gid)
-            removed += size[gid]
-        if removed < target:
-            raise PlanError(
-                f"cannot reach threshold {spec.threshold}: only {removed} of "
-                f"{target} channels removable")
-        picked = np.array(walk, dtype=np.intp)
-
+    gids = np.flatnonzero(ok)
+    ranked = gids[np.lexsort((gids, gscore[gids]))].tolist()
+    # each candidate group's (layer, slot count) pairs, by group id
+    n_layers = len(t.layers)
+    pairs, counts = np.unique(t.gid[cand] * n_layers + t.layer[cand],
+                              return_counts=True)
+    bounds = np.searchsorted(pairs // n_layers,
+                             np.arange(len(ok) + 1)).tolist()
+    pair_layer, counts = (pairs % n_layers).tolist(), counts.tolist()
+    size = np.bincount(t.gid[cand], minlength=len(ok)).tolist()
+    removed, walk = 0, []
+    for gid in ranked:
+        if removed >= target:
+            break
+        span = range(bounds[gid], bounds[gid + 1])
+        if any(room[pair_layer[j]] < counts[j] for j in span):
+            continue
+        for j in span:
+            room[pair_layer[j]] -= counts[j]
+        walk.append(gid)
+        removed += size[gid]
+    if spec.mode == "global" and removed < target:
+        raise PlanError(
+            f"cannot reach threshold {spec.threshold}: only {removed} of "
+            f"{target} channels removable")
+    picked = np.array(walk, dtype=np.intp)
     gone = np.append(np.isin(t.gid, picked), False)  # per slot, then slot -1
-    kept = widths - np.bincount(t.layer[gone[:-1]], minlength=len(widths))
-    if not kept.all():
-        raise PlanError("spec would empty a layer: removal set empties layer "
-                        f"{t.layers[int(np.argmin(kept))]!r}")
     shapes, flops, params = _predict(g, t, gone)
     base = count_complexity(g)
     return PruningPlan(
@@ -279,7 +271,8 @@ def prune_pipeline(g: ModelGraph, dataset, spec: PruningSpec,
 
     One-shot by default; ``steps > 1`` re-scores between pruning steps,
     step k removing up to k/steps of the spec's target counted on the
-    original widths, so the total removed equals the one-shot plan's.
+    original widths (per layer at most floor(r * c)), so the total
+    removed equals the one-shot plan's.
     Returns (pruned_graph, report dict)."""
     x, y = dataset
     if scoring_samples is None:

@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from energyprune.criteria import normalize_layer_l2
 from energyprune.engine import (cross_entropy, forward, backward, init_params,
                                 logits_node)
-from energyprune.graph import (INPUT, PASSTHROUGH, ModelGraph, RewriteRefusal,
-                               infer_shapes, rewrite_remove_channels)
+from energyprune.graph import (INPUT, PASSTHROUGH, ModelGraph, infer_shapes,
+                               rewrite_remove_channels)
 from energyprune.linalg import make_rng
 from energyprune.metrics import count_complexity
 from energyprune.pruner import PlanError, check_score_widths, default_protected
@@ -488,56 +488,42 @@ def reference_plan(g, scores, spec, frac=1.0, done=None):
     def group_score(grp):
         return min(table.get(lid, ch) for lid, ch in grp[1])
 
-    selected = []
+    # one walk for both modes: take a group while each layer it touches
+    # has room for its channels there
+    layers = {lid for grp in candidates for lid, _ in grp[1]}
     if spec.mode == "per-layer":
-        chosen: dict = {}
-        by_layer: dict = {}
-        for grp in candidates:
-            for lid, ch in grp[1]:
-                by_layer.setdefault(lid, []).append((ch, grp))
-        for lid, entries in by_layer.items():
+        room = {}
+        for lid in layers:
             r = spec.per_layer_ratios.get(lid, spec.ratio)
             c = g.nodes[lid].attrs["out"] + done.get(lid, 0)
-            k = int(np.floor(r * c * frac)) - done.get(lid, 0)
-            if k <= 0:
-                continue
-            entries = sorted(entries, key=lambda e: e[0])
-            ranked = sorted(entries, key=lambda e: table.get(lid, e[0]))
-            for _, grp in ranked[:k]:
-                chosen[grp[0]] = grp
-        selected = [(grp, group_score(grp))
-                    for grp in sorted(chosen.values(), key=sort_key)]
-        selected.sort(key=lambda e: e[1])
+            room[lid] = max(0, int(np.floor(r * c * frac)) - done.get(lid, 0))
+        target = None  # no count to reach
     else:
         total = sum(len(grp[1]) for grp in candidates) + sum(done.values())
         target = int(round(spec.threshold * total * frac)) \
             - sum(done.values())
-        ranked = sorted(((grp, group_score(grp)) for grp in candidates),
-                        key=lambda e: (e[1], sort_key(e[0])))
-        remaining = {lid: g.nodes[lid].attrs["out"]
-                     for grp in candidates for lid, _ in grp[1]}
-        removed = 0
-        for grp, score in ranked:
-            if removed >= target:
-                break
-            counts: dict = {}
-            for lid, _ in grp[1]:
-                counts[lid] = counts.get(lid, 0) + 1
-            if any(remaining[lid] - n < 1 for lid, n in counts.items()):
-                continue
-            for lid, n in counts.items():
-                remaining[lid] -= n
-            selected.append((grp, score))
-            removed += len(grp[1])
-        if removed < target:
-            raise PlanError(
-                f"cannot reach threshold {spec.threshold}: only {removed} of "
-                f"{target} channels removable")
-    try:
-        scratch = rewrite_remove_channels(
-            g, (s for grp, _ in selected for s in grp[1]))
-    except RewriteRefusal as exc:
-        raise PlanError(f"spec would empty a layer: {exc}") from exc
+        room = {lid: g.nodes[lid].attrs["out"] - 1 for lid in layers}
+    ranked = sorted(((grp, group_score(grp)) for grp in candidates),
+                    key=lambda e: (e[1], sort_key(e[0])))
+    selected, removed = [], 0
+    for grp, score in ranked:
+        if target is not None and removed >= target:
+            break
+        counts: dict = {}
+        for lid, _ in grp[1]:
+            counts[lid] = counts.get(lid, 0) + 1
+        if any(room[lid] < n for lid, n in counts.items()):
+            continue
+        for lid, n in counts.items():
+            room[lid] -= n
+        selected.append((grp, score))
+        removed += len(grp[1])
+    if target is not None and removed < target:
+        raise PlanError(
+            f"cannot reach threshold {spec.threshold}: only {removed} of "
+            f"{target} channels removable")
+    scratch = rewrite_remove_channels(
+        g, (s for grp, _ in selected for s in grp[1]))
     base, pred = count_complexity(g), count_complexity(scratch)
     return ([(grp[0], grp[1], score) for grp, score in selected],
             infer_shapes(scratch), pred.flops, pred.params,

@@ -591,6 +591,24 @@ class TestExitCodes:
             assert main(argv + ["--lr", "nan"]) == EXIT_CONFIG
         assert not (tmp_path / "m.json").exists()
 
+    # a validation split of every training sample once left train and
+    # finetune no step to run: they wrote nan loss rows and exited 0
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_validation_split_of_every_sample_is_config_error(
+            self, workdir, tmp_path, command, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kind", "blobs", "--samples-per-class", "1",
+                     "--out", str(data)]) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("val_fraction=0.9\nmax_epochs=2\n")
+        source = (["--arch", "toy-mlp"] if command == "train"
+                  else ["--model", str(workdir / "model.json")])
+        out = tmp_path / "m.json"
+        assert main([command, *source, "--data", str(data), "--config",
+                     str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "val_fraction 0.9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

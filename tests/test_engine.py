@@ -681,6 +681,14 @@ class TestTraining:
         with pytest.raises(LabelError, match="out of range"):
             train(build_toy_mlp(hidden=4), (x, y), cfg)
 
+    def test_validation_split_of_every_sample_rejected(self, blobs):
+        # round(0.9 * 3) = 3 samples once all went to validation, so no
+        # step ran and every train_loss row was the nan mean of no loss
+        x, y = blobs.train_x[:3], blobs.train_y[:3]
+        cfg = TrainConfig(val_fraction=0.9, max_epochs=2, seed=0)
+        with pytest.raises(ValueError, match="val_fraction 0.9 of 3"):
+            train(build_toy_mlp(hidden=4), (x, y), cfg)
+
     def test_empty_dataset_rejected(self):
         g = build_toy_mlp(hidden=4)
         with pytest.raises(ValueError):

@@ -21,13 +21,13 @@ from energyprune.modelio import save_model
 from energyprune.pruner import (ConsistencyError, PlanError, PruningSpec,
                                 _plan, default_protected, execute, plan,
                                 prune_pipeline)
-from energyprune.toybench import (REFERENCE_BUILDERS, ToyDatasetSpec,
-                                  build_reference_arch,
+from energyprune.toybench import (REFERENCE_BUILDERS, ZOO_BUILDERS,
+                                  ToyDatasetSpec, build_reference_arch,
                                   build_toy_cnn_inception,
                                   build_toy_cnn_plain,
                                   build_toy_cnn_residual,
                                   build_toy_densenet_cell, build_toy_mlp,
-                                  gen_blobs)
+                                  gen_blobs, gen_class_images)
 
 from helpers import (_bn, _conv, _dense, _op, reference_channel_groups,
                      reference_plan)
@@ -124,14 +124,16 @@ class TestPerLayer:
         forward(pruned, x)  # rewired graph still runs
 
     def test_tied_layers_cannot_be_emptied(self):
-        # each layer's lowest half drags the other half of its Add twin
+        # each layer's lowest half is the other half of its Add twin; once
+        # each pick dragged its twin's channel along and emptied both
         g = build_toy_cnn_residual(seed=0)
         table = compute_scores(g, "weight", None)
         table.scores["b2.conv1"] = np.arange(32.0)
         table.scores["b2.proj"] = np.arange(32.0)[::-1].copy()
         spec = PruningSpec(mode="per-layer", ratio=0.5, criterion="weight")
-        with pytest.raises(PlanError):
-            plan(g, table, spec)
+        pruned = execute(g, plan(g, table, spec))
+        assert pruned.nodes["b2.conv1"].attrs["out"] == 16
+        assert pruned.nodes["b2.proj"].attrs["out"] == 16
 
 
 class TestGlobal:
@@ -308,20 +310,73 @@ def test_prune_pipeline_end_to_end():
                for f in ("fc1", "fc2", "fc3"))
 
 
-@pytest.mark.parametrize("mode", ["global", "per-layer"])
-@pytest.mark.parametrize("steps", [1, 2, 4])
-def test_iterative_pruning_removes_the_one_shot_total(mode, steps):
-    data = gen_blobs(ToyDatasetSpec(samples_per_class=10, seed=0))
-    g = build_toy_mlp(hidden=40, seed=0)
-    spec = PruningSpec(mode=mode, ratio=0.5, threshold=0.5,
-                       criterion="weight")
+# the layers a default-protected plan can prune: on toy-cnn-residual the
+# Add ties b1.conv2 to the protected stem, and b2.conv1 to b2.proj
+ITERATIVE_LAYERS = {"toy-mlp": ("fc1", "fc2", "fc3"),
+                    "toy-cnn-residual": ("b1.conv1", "b2.conv1", "b2.proj")}
+
+
+@pytest.mark.parametrize("name, mode, r, steps", [
+    pytest.param("toy-mlp", mode, 0.5, steps, id=f"{steps}-{mode}")
+    for steps in (1, 2, 4) for mode in ("global", "per-layer")] + [
+    pytest.param("toy-cnn-residual", mode, r, steps,
+                 id=f"toy-cnn-residual-{mode}-{r}-{steps}")
+    for mode, r in (("per-layer", 0.3), ("per-layer", 0.9), ("global", 0.3))
+    for steps in (1, 2, 3, 5)])
+def test_iterative_pruning_removes_the_one_shot_total(name, mode, r, steps):
+    if name == "toy-mlp":
+        data = gen_blobs(ToyDatasetSpec(samples_per_class=10, seed=0))
+        g = build_toy_mlp(hidden=40, seed=0)
+    else:
+        data = gen_class_images(samples_per_class=2, seed=0)
+        g = build_toy_cnn_residual(seed=0)
+    spec = PruningSpec(mode=mode, ratio=r, threshold=r, criterion="weight")
+    one_shot = plan(g, score_weight(g), spec).n_removed_channels()
     pruned, report = prune_pipeline(g, (data.train_x, data.train_y), spec,
                                     steps=steps)
-    widths = [pruned.nodes[f].attrs["out"] for f in ("fc1", "fc2", "fc3")]
-    assert report["removed_channels"] == 60
-    assert sum(widths) == 60
+    lost = {n.id: n.attrs["out"] - pruned.nodes[n.id].attrs["out"]
+            for n in g.nodes.values() if n.kind in ("Dense", "Conv2D")}
+    assert report["removed_channels"] == sum(lost.values()) == one_shot
+    if name == "toy-mlp":
+        assert one_shot == 60
     if mode == "per-layer":
-        assert widths == [20, 20, 20]
+        # the tied b2.conv1 and b2.proj share one target, so every
+        # prunable layer loses exactly floor(r * c)
+        assert lost == {lid: int(np.floor(r * g.nodes[lid].attrs["out"]))
+                        if lid in ITERATIVE_LAYERS[name] else 0
+                        for lid in lost}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_BUILDERS)
+                         + sorted(REFERENCE_BUILDERS))
+def test_per_layer_plans_remove_at_most_floor_r_c_per_layer(name):
+    build = ZOO_BUILDERS.get(name)
+    g = build(4, 0) if build else init_params(build_reference_arch(name), 0)
+    table = score_weight(g)
+    protected = default_protected(g)
+    tied: dict = {}  # layer -> the layers it shares a candidate group with
+    for grp in build_channel_groups(g):
+        lids = {lid for lid, _ in grp.slots}
+        if grp.prunable and not lids & protected and lids <= table.scores.keys():
+            for lid in lids:
+                tied.setdefault(lid, set()).update(lids)
+    for r in (0.2, 0.5, 0.9):
+        p = plan(g, table, PruningSpec(mode="per-layer", ratio=r,
+                                       criterion="weight"))
+        removed = Counter(lid for lid, _ in p.removed_slots)
+        target = {lid: int(np.floor(r * g.nodes[lid].attrs["out"]))
+                  for lid in tied}
+        for lid in (n.id for n in g.nodes.values()
+                    if n.kind in ("Dense", "Conv2D")):
+            assert removed[lid] <= target.get(lid, 0), (r, lid)
+            if lid in tied and {target[t] for t in tied[lid]} == {target[lid]}:
+                assert removed[lid] == target[lid], (r, lid)
+        if (name, r) == ("resnet56", 0.2):
+            # each pick once dragged in the channels its Add partners
+            # share: 28 of 32 went, and -64.0 % FLOPs where 20 % of each
+            # layer was asked for
+            assert removed["s1b3.conv2"] == 6
+            assert 1 - p.predicted_flops / p.baseline_flops < 0.3
 
 
 # --- the array planner against the union-find reference ---------------------
@@ -443,22 +498,36 @@ def test_plan_matches_the_union_find_reference(data):
         g = execute(g, got)
 
 
+def _weight_scores_on_every_layer(g):
+    table = compute_scores(g, "weight", None)
+    for node in g.nodes.values():  # weight scores skip layers with no ReLU/BN
+        if node.kind in ("Dense", "Conv2D"):
+            table.scores.setdefault(node.id, np.arange(node.attrs["out"], 0.0, -1))
+    return table
+
+
 @pytest.mark.parametrize("name, mode, r", [
-    ("resnet56", "per-layer", 0.7),  # tied layers empty each other
-    ("toy-cnn-residual", "per-layer", 0.9),
     ("toy-mlp-1", "global", 0.5),  # one-channel layers cannot shrink
     ("add-on-input", "global", 0.9),  # a frozen group and a protected one
 ])
 def test_plan_errors_match_the_reference(name, mode, r):
     g = _oracle_graph(name)
-    table = compute_scores(g, "weight", None)
-    for node in g.nodes.values():  # weight scores skip layers with no ReLU/BN
-        if node.kind in ("Dense", "Conv2D"):
-            table.scores.setdefault(node.id, np.arange(node.attrs["out"], 0.0, -1))
+    table = _weight_scores_on_every_layer(g)
     spec = PruningSpec(mode=mode, ratio=r, threshold=r, criterion="weight")
     want = _outcome(lambda: reference_plan(g, table, spec))
     assert isinstance(want, str)
     assert _outcome(lambda: plan(g, table, spec)) == want
+
+
+# tied layers once emptied each other here, and the spec was refused
+@pytest.mark.parametrize("name, r", [("resnet56", 0.7),
+                                     ("toy-cnn-residual", 0.9)])
+def test_tied_per_layer_plans_match_the_reference(name, r):
+    g = _oracle_graph(name)
+    table = _weight_scores_on_every_layer(g)
+    spec = PruningSpec(mode="per-layer", ratio=r, criterion="weight")
+    assert _as_reference(plan(g, table, spec)) == \
+        reference_plan(g, table, spec)
 
 
 def test_plan_and_execute_build_no_removal_list():
@@ -490,26 +559,32 @@ def test_plan_allocates_a_small_fraction_of_the_model(name):
     assert peak < 0.10 * param_bytes
 
 
-# sha256 of the weight scores, the plans' removals and predictions, and the
+# Per plan mode, sha256 of the plans' removals and predictions and the
 # save_model bytes of the pruned models, over the five reference
-# architectures (seed 0) under a global 0.3 and a per-layer 0.2 plan. It
-# was recorded with numpy 2.4.6 before the rewrite read the plan's slot
-# table and before weight scores ran in row blocks; both left every bit
-# in place.
-SURGERY_SHA256 = "398a8c6ef247c8d62b50525bc6ddfca242e22f989c360cc716de179d74e479cf"
+# architectures (seed 0) under a global 0.3 and a per-layer 0.2 plan; the
+# global digest also covers the weight scores. Both were recorded with
+# numpy 2.4.6. The global one predates the rewrite reading the plan's slot
+# table, weight scores running in row blocks and per-layer plans walking
+# like global ones, none of which moved a bit of it. The per-layer one was
+# recorded when per-layer plans stopped at floor(r * c) on Add-tied layers.
+SURGERY_SHA256 = {
+    "global": "27bd931c8102bd6ba0d9c83270c6d03e8d5417c5093632f94ff558cfad6e236e",
+    "per-layer": "b432928bddda7c133613e33445f27908b7c16e95afb6c65cd6aa053335394e68",
+}
 
 
 def test_full_size_prune_stage_is_bit_identical_to_the_pinned_digest(tmp_path):
-    h = hashlib.sha256()
+    digests = {mode: hashlib.sha256() for mode in SURGERY_SHA256}
     path = tmp_path / "m.json"
     for name in sorted(REFERENCE_BUILDERS):
         g = init_params(build_reference_arch(name), 0)
         table = score_weight(g)
         for lid, vec in table.scores.items():
-            h.update(lid.encode())
-            h.update(vec.tobytes())
+            digests["global"].update(lid.encode())
+            digests["global"].update(vec.tobytes())
         for spec in (PruningSpec(mode="global", threshold=0.3, criterion="weight"),
                      PruningSpec(mode="per-layer", ratio=0.2, criterion="weight")):
+            h = digests[spec.mode]
             p = plan(g, table, spec)
             h.update(repr([(grp.gid, sorted(grp.slots), score)
                            for grp, score in p.removals]).encode())
@@ -518,7 +593,8 @@ def test_full_size_prune_stage_is_bit_identical_to_the_pinned_digest(tmp_path):
             save_model(execute(g, p), path)
             h.update(path.read_bytes())
             h.update(Path(f"{path}.bin").read_bytes())
-    assert h.hexdigest() == SURGERY_SHA256
+    assert {mode: h.hexdigest() for mode, h in digests.items()} == \
+        SURGERY_SHA256
 
 
 # Per stage, the ratio a per-layer plan takes from each residual block's
