@@ -17,7 +17,7 @@ from .engine import (DivergenceError, LabelError, TrainConfig, evaluate,
 from .experiments import (TOY_REPORT_HEADER, run_stability,
                           run_toy_experiment, toy_experiment_report)
 from .graph import GraphError
-from .linalg import ConvergenceError, DomainError
+from .linalg import DomainError
 from .metrics import FLOPS_CONVENTION, count_complexity
 from .modelio import (DataFormatError, PLAN_HEADER, SCORE_HEADER,
                       format_table, load_config, load_dataset, load_model,
@@ -305,8 +305,7 @@ def main(argv=None) -> int:
     except (DataFormatError, LabelError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DivergenceError, FloatingPointError, ConvergenceError,
-            DomainError) as exc:
+    except (DivergenceError, FloatingPointError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (PlanError, GraphError, ValueError) as exc:

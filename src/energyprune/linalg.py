@@ -1,13 +1,20 @@
 """SVD and nuclear-norm kernels, all in float64.
 
-Every SVD and nuclear norm goes through one kernel, :func:`_jacobi`: a
-stack of tall matrices is reduced to triangular factors by two QR steps
-(a = Q R, then R^T = Q2 R2, Drmač & Veselić 2008), and one-sided Jacobi
-rotates all n/2 disjoint column pairs of every R2^T at once per
-round-robin round (Brent & Luk 1985). The rows of the working array
-are laid out so that each round's pairs sit in two halves, rotated in
-place, and one row permutation per round moves on to the next round's
-pairs. A whole layer's channels are one stack.
+Every nuclear norm goes through :func:`nuclear_norms`: each matrix of a
+stack is reduced to a = Q R by one numpy QR, and its nuclear norm is
+tr(X^T R) for R's polar factor X, which a fixed schedule of six QDWH
+steps computes for the whole stack at once (Nakatsukasa, Bai & Gygi
+2010; Nakatsukasa & Higham 2013). Each step is one batched QR and one
+batched matrix product; singular values under QDWH_L0 * |R|_F are only
+partly counted. A whole layer's channels are one stack.
+
+:func:`svd` goes through :func:`_jacobi`: a = Q R, then R^T = Q2 R2
+(Drmač & Veselić 2008), and one-sided Jacobi rotates all n/2 disjoint
+column pairs of R2^T at once per round-robin round (Brent & Luk 1985).
+The rows of the working array are laid out so that each round's pairs
+sit in two halves, rotated in place, and one row permutation per round
+moves on to the next round's pairs. SV_CLAMP_REL is ``svd``'s rule
+only.
 """
 
 from __future__ import annotations
@@ -23,8 +30,33 @@ import numpy as np
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
 
-# Singular values below this fraction of the largest are clamped to 0.
+# svd's singular values below this fraction of the largest are clamped
+# to 0.
 SV_CLAMP_REL = 1e-12
+
+
+def _qdwh_schedule(ell: float) -> tuple:
+    """The QDWH steps (a, b, c) that take every singular value in
+    [ell, 1] to 1 (Nakatsukasa, Bai & Gygi 2010): the dynamically
+    weighted Halley map x (a + b x^2) / (1 + c x^2), each step's weights
+    chosen for the smallest value ell still has, which the step then
+    moves up. Returns (steps, ell after the last step)."""
+    steps = []
+    while 1.0 - ell > 1e-15:
+        ell2 = ell * ell
+        g = (4.0 * (1.0 - ell2) / (ell2 * ell2)) ** (1.0 / 3.0)
+        a = math.sqrt(1.0 + g) + 0.5 * math.sqrt(
+            8.0 - 4.0 * g + 8.0 * (2.0 - ell2) / (ell2 * math.sqrt(1.0 + g)))
+        b = (a - 1.0) ** 2 / 4.0
+        steps.append((a, b, a + b - 1.0))
+        ell = ell * (a + b * ell2) / (1.0 + (a + b - 1.0) * ell2)
+    return tuple(steps), ell
+
+
+# Nuclear norms: singular values at least QDWH_L0 * |R|_F reach 1 in the
+# polar factor; smaller ones count in part.
+QDWH_L0 = 1e-16
+QDWH_STEPS, QDWH_L_END = _qdwh_schedule(QDWH_L0)
 
 
 class ShapeError(ValueError):
@@ -50,9 +82,15 @@ def _pow2_scale(big: float) -> float:
     [0.5, 1), its exponent clipped to +-1000 so that the scale stays a
     normal float (1 for 0). Scaling by it is exact, so a norm of the
     scaled entries, divided by it, has the unscaled bits wherever the
-    unscaled squares neither overflow nor underflow. ``_jacobi`` applies
-    the same rule to a whole stack at once."""
+    unscaled squares neither overflow nor underflow. ``_stack_scales``
+    applies the same rule to a whole stack at once."""
     return math.ldexp(1.0, -min(max(math.frexp(big)[1], -1000), 1000))
+
+
+def _stack_scales(a: np.ndarray) -> np.ndarray:
+    """``_pow2_scale`` of each matrix of a (C, m, n) stack."""
+    exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
+    return np.ldexp(1.0, -np.clip(exponent, -1000, 1000))
 
 
 @dataclass(frozen=True)
@@ -113,36 +151,27 @@ def _pair_layout(n: int) -> tuple:
     return orders[0], perms, np.argsort(orders[0])
 
 
-def _jacobi(a: np.ndarray, want_v: bool):
+def _jacobi(a: np.ndarray):
     """One-sided Jacobi SVD of a (C, m, n) stack of tall (m >= n) matrices.
 
     Each matrix is scaled by a power of two to a largest entry in
     [0.5, 1) (as far as the exponent range allows) and reduced to
     a = Q R, R^T = Q2 R2 (both n x n). The columns of R2^T = R Q2 are
     closer to orthogonal than R's, and are rotated until mutually
-    orthogonal in fewer sweeps: R2^T V = W. Returns (s, q, u, v): s
-    (C, n) holds each matrix's singular values, non-increasing, those at
-    most SV_CLAMP_REL of the largest set to 0. With ``want_v``,
-    a = q @ u @ diag(s) @ v.T with v = Q2 V, up to the columns of u for
-    s = 0 or under the floor below, which are 0; else q, u and v are
-    None. A matrix has converged, and stops changing, once a sweep leaves
-    every column pair of W below JACOBI_TOL (or shorter than the floor
-    below); the second QR changes how many sweeps that takes, not the
-    test. So a matrix's result does not depend on the other matrices of
-    the stack.
+    orthogonal in fewer sweeps: R2^T V = W. Returns (s, q, u, v) with
+    a = q @ u @ diag(s) @ v.T and v = Q2 V, up to the columns of u for
+    s = 0 or under the floor below, which are 0: s (C, n) holds each
+    matrix's singular values, non-increasing, those at most SV_CLAMP_REL
+    of the largest set to 0. The sweeps stop once one leaves every
+    column pair of W below JACOBI_TOL (or shorter than the floor below);
+    the second QR changes how many sweeps that takes, not the test.
     """
     c, _, n = a.shape
-    exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
-    scale = np.ldexp(1.0, -np.clip(exponent, -1000, 1000))
+    scale = _stack_scales(a)
     a = a * scale[:, None, None]
     # a = Q R and R^T = Q2 R2, so a = Q R2^T Q2^T
-    if want_v:
-        q, r = np.linalg.qr(a)
-        q2, r = np.linalg.qr(r.transpose(0, 2, 1))
-    else:
-        q = None
-        r = np.linalg.qr(np.linalg.qr(a, mode="r").transpose(0, 2, 1),
-                         mode="r")
+    q, r = np.linalg.qr(a)
+    q2, r = np.linalg.qr(r.transpose(0, 2, 1))
     # A column shorter than SV_CLAMP_REL * |a|_F moves no singular value
     # by more than that. Rotating it only chases rounding noise (R of a
     # matrix with repeated columns is graded down towards underflow), so
@@ -154,25 +183,21 @@ def _jacobi(a: np.ndarray, want_v: bool):
     # column j of W (row j of R2) is a row of ``cols``, V's column j
     # follows it; the rows are kept in the current round's concat(p, q),
     # so row k < h is paired with row k + h
-    cols = np.zeros((c, n2, n + n2 if want_v else n))
+    cols = np.zeros((c, n2, n + n2))
     cols[:, :n, :n] = r
-    if want_v:
-        cols[:, :, n:] = np.eye(n2)
+    cols[:, :, n:] = np.eye(n2)
     cols = cols[:, start]
-    done = np.zeros(c, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):
-        live = np.flatnonzero(~done)
-        x, lo = cols[live], floor[live]
-        rotated = np.zeros(live.size, dtype=bool)
+        rotated = False
         for perm in perms:
-            w = x[..., :n]  # W's rows; V's follow
+            w = cols[..., :n]  # W's rows; V's follow
             norms = np.einsum("ckr,ckr->ck", w, w)
             app, aqq = norms[:, :h], norms[:, h:]
             apq = np.einsum("ckr,ckr->ck", w[:, :h], w[:, h:])
             rot = (np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq)) \
-                & (np.minimum(app, aqq) > lo)
+                & (np.minimum(app, aqq) > floor)
             if rot.any():
-                rotated |= rot.any(axis=1)
+                rotated = True
                 # inner rotation, |angle| <= pi/4; a pair below the
                 # tolerance gets t = 0, which is exactly c = 1, s = 0
                 zeta = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
@@ -180,28 +205,23 @@ def _jacobi(a: np.ndarray, want_v: bool):
                     1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
                 cs = 1.0 / np.hypot(1.0, t)[..., None]
                 sn = t[..., None] * cs
-                wp, wq = x[:, :h], x[:, h:]
+                wp, wq = cols[:, :h], cols[:, h:]
                 newp = cs * wp - sn * wq
                 wq *= cs
                 wq += sn * wp
                 wp[...] = newp
-            x = x[:, perm]
-        cols[live] = x
-        done[live] = ~rotated
-        if done.all():
+            cols = cols[:, perm]
+        if not rotated:
             break
     else:
         raise ConvergenceError(
-            f"{np.count_nonzero(~done)} of {c} matrices unconverged after "
-            f"{JACOBI_MAX_SWEEPS} Jacobi sweeps")
+            f"unconverged after {JACOBI_MAX_SWEEPS} Jacobi sweeps")
     cols = cols[:, restore]
     w = cols[:, :n, :n].transpose(0, 2, 1)
     s = np.sqrt(np.einsum("cij,cij->cj", w, w))
     order = np.argsort(-s, axis=1, kind="stable")
     s = np.take_along_axis(s, order, axis=1)
     s = np.where(s <= SV_CLAMP_REL * s[:, :1], 0.0, s)
-    if not want_v:
-        return s / scale[:, None], None, None, None
     w = np.take_along_axis(w, order[:, None, :], axis=2)
     v = q2 @ np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
                                 order[:, None, :], axis=2)
@@ -241,7 +261,7 @@ def svd(a: np.ndarray) -> SvdResult:
     a = _check_matrix(a)
     wide = a.shape[1] > a.shape[0]
     tall = a.T if wide else a
-    s, q, u, v = (x[0] for x in _jacobi(tall[None], want_v=True))
+    s, q, u, v = (x[0] for x in _jacobi(tall[None]))
     good = u.any(axis=0)
     if not good.all():
         u = _complete_orthonormal(u, good)
@@ -254,11 +274,37 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def nuclear_norms(stack: np.ndarray) -> np.ndarray:
-    """Sum of singular values of each matrix of a (C, m, n) stack."""
+    """Sum of singular values of each matrix of a (C, m, n) stack.
+
+    Each matrix, transposed if wide and scaled by a power of two to a
+    largest entry in [0.5, 1) (as far as the exponent range allows), is
+    reduced to a = Q R. The sum is tr(X^T R) = sum_ij X_ij R_ij, where X
+    is R's polar factor from the QDWH steps of ``QDWH_STEPS``: each step
+    is one QR of [sqrt(c) X; I] = [Q1; Q2] R' and
+    X <- (b/c) X + (a - b/c)/sqrt(c) Q1 Q2^T, from X = R / |R|_F. Every
+    matrix takes the same steps, so a matrix's score does not depend on
+    the other matrices of the stack.
+    """
     stack = _check_stack(stack)
     if stack.shape[2] > stack.shape[1]:
         stack = stack.transpose(0, 2, 1)
-    return _jacobi(stack, want_v=False)[0].sum(axis=1)
+    n = stack.shape[2]
+    scale = _stack_scales(stack)
+    # contiguous, so that the sums below run in the same order whatever
+    # layout QR hands back for this stack; np.sum, not einsum, whose
+    # order for large n depends on C
+    r = np.ascontiguousarray(
+        np.linalg.qr(stack * scale[:, None, None], mode="r"))
+    if n == 1:  # a 1 x 1 polar factor is the sign
+        return np.abs(r[:, 0, 0]) / scale
+    fro = np.sqrt(np.sum(r * r, axis=(1, 2)))
+    x = r / np.where(fro > 0.0, fro, 1.0)[:, None, None]  # 0 stays 0
+    eye = np.broadcast_to(np.eye(n), r.shape)
+    for a, b, c in QDWH_STEPS:
+        q = np.linalg.qr(np.concatenate([math.sqrt(c) * x, eye], axis=1))[0]
+        x = (b / c) * x + ((a - b / c) / math.sqrt(c)) \
+            * (q[:, :n] @ q[:, n:].transpose(0, 2, 1))
+    return np.sum(x * r, axis=(1, 2)) / scale
 
 
 def nuclear_norm(a: np.ndarray) -> float:
