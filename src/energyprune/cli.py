@@ -83,9 +83,12 @@ def cmd_gen_data(args):
     if args.kind == "blobs":
         spec = ToyDatasetSpec(classes=args.classes,
                               samples_per_class=args.samples_per_class,
-                              std=args.std, seed=args.seed,
+                              std=0.9 if args.std is None else args.std,
+                              seed=args.seed,
                               test_fraction=args.test_fraction)
         data = gen_blobs(spec)
+    elif args.std is not None:
+        raise ValueError("--kind images takes no --std")
     else:
         data = gen_class_images(classes=args.classes,
                                 samples_per_class=args.samples_per_class,
@@ -221,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["blobs", "images"], default="blobs")
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--samples-per-class", type=int, default=1000)
-    p.add_argument("--std", type=float, default=0.9)
+    p.add_argument("--std", type=float,
+                   help="blobs only: the noise std (default 0.9)")
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -8,20 +8,19 @@ steps computes for the whole stack at once (Nakatsukasa, Bai & Gygi
 batched matrix product; singular values under QDWH_L0 * |R|_F are only
 partly counted. A whole layer's channels are one stack.
 
-:func:`svd` goes through :func:`_jacobi`: a = Q R, then R^T = Q2 R2
-(Drmač & Veselić 2008), and one-sided Jacobi rotates all n/2 disjoint
-column pairs of R2^T at once per round-robin round (Brent & Luk 1985).
-The rows of the working array are laid out so that each round's pairs
-sit in two halves, rotated in place, and one row permutation per round
-moves on to the next round's pairs. SV_CLAMP_REL is ``svd``'s rule
-only.
+:func:`svd` goes through :func:`_jacobi`, one matrix at a time: a = Q R,
+then R^T = Q2 R2 (Drmač & Veselić 2008), and one-sided Jacobi rotates
+all n/2 disjoint column pairs of R2^T at once per round-robin round
+(Brent & Luk 1985). The pairs sit in the two halves of the working
+array's rows, and one fixed row gather (:func:`_ring`) seats the next
+round's pairs. One QR completes U's columns for zero or negligible
+singular values. SV_CLAMP_REL is ``svd``'s rule only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,77 +122,59 @@ def _check_matrix(a: np.ndarray) -> np.ndarray:
     return _check_stack(a[None])[0]
 
 
-@lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple:
-    """The n - 1 rounds of a round-robin tournament on n (even) columns,
-    each as (p, q) index arrays of n/2 disjoint pairs (circle method)."""
-    ring = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        pairs = sorted(sorted(pr) for pr in zip(ring[:n // 2], ring[::-1]))
-        rounds.append((np.array([p for p, _ in pairs]),
-                       np.array([q for _, q in pairs])))
-        ring = ring[:1] + ring[-1:] + ring[1:-1]
-    return tuple(rounds)
-
-
-@lru_cache(maxsize=None)
-def _pair_layout(n: int) -> tuple:
-    """Row layouts that put each round-robin round's pairs in two halves.
-
-    Returns (order, perms, inverse): ``order`` is round 0's concat(p, q);
-    ``perms[r]`` takes rows laid out in round r's concat(p, q) to round
-    r + 1's (the last one back to round 0's), so ``x[:, perms[r]]``
-    moves to the next round; ``inverse`` undoes ``order``."""
-    orders = [np.concatenate(pq) for pq in _round_robin(n)]
-    perms = tuple(np.argsort(a)[b]
-                  for a, b in zip(orders, orders[1:] + orders[:1]))
-    return orders[0], perms, np.argsort(orders[0])
+def _ring(n: int) -> np.ndarray:
+    """The row gather of a round-robin tournament on n (even) rows
+    (circle method): the row in seat k < n/2 meets the row in seat
+    k + n/2, and ``x[_ring(n)]`` keeps row 0 and moves every other row
+    one seat on around the ring 1 .. n/2 - 1, n - 1 .. n/2. After n - 1
+    rounds every two rows have met once and each row is back in its
+    seat."""
+    ring = np.r_[1:n // 2, n - 1:n // 2 - 1:-1]
+    gather = np.arange(n)
+    gather[ring] = np.roll(ring, 1)
+    return gather
 
 
 def _jacobi(a: np.ndarray):
-    """One-sided Jacobi SVD of a (C, m, n) stack of tall (m >= n) matrices.
+    """One-sided Jacobi SVD of a tall (m, n) matrix, m >= n.
 
-    Each matrix is scaled by a power of two to a largest entry in
-    [0.5, 1) (as far as the exponent range allows) and reduced to
-    a = Q R, R^T = Q2 R2 (both n x n). The columns of R2^T = R Q2 are
-    closer to orthogonal than R's, and are rotated until mutually
-    orthogonal in fewer sweeps: R2^T V = W. Returns (s, q, u, v) with
-    a = q @ u @ diag(s) @ v.T and v = Q2 V, up to the columns of u for
-    s = 0 or under the floor below, which are 0: s (C, n) holds each
-    matrix's singular values, non-increasing, those at most SV_CLAMP_REL
-    of the largest set to 0. The sweeps stop once one leaves every
-    column pair of W below JACOBI_TOL (or shorter than the floor below);
-    the second QR changes how many sweeps that takes, not the test.
+    a is scaled by ``_pow2_scale`` and reduced to a = Q R, R^T = Q2 R2
+    (both n x n). The columns of R2^T = R Q2 are closer to orthogonal
+    than R's, and are rotated until mutually orthogonal in fewer sweeps:
+    R2^T V = W. Returns (s, q, u, v) with a = q @ u @ diag(s) @ v.T and
+    v = Q2 V, up to the columns of u for s = 0 or under the floor below,
+    which are 0: s (n,) holds the singular values, non-increasing, those
+    at most SV_CLAMP_REL of the largest set to 0. The sweeps stop once
+    one leaves every column pair of W below JACOBI_TOL (or shorter than
+    the floor below); the second QR changes how many sweeps that takes,
+    not the test.
     """
-    c, _, n = a.shape
-    scale = _stack_scales(a)
-    a = a * scale[:, None, None]
+    n = a.shape[1]
+    scale = _pow2_scale(float(np.abs(a).max()))
     # a = Q R and R^T = Q2 R2, so a = Q R2^T Q2^T
-    q, r = np.linalg.qr(a)
-    q2, r = np.linalg.qr(r.transpose(0, 2, 1))
+    q, r = np.linalg.qr(a * scale)
+    q2, r = np.linalg.qr(r.T)
     # A column shorter than SV_CLAMP_REL * |a|_F moves no singular value
     # by more than that. Rotating it only chases rounding noise (R of a
     # matrix with repeated columns is graded down towards underflow), so
     # it is left alone.
-    floor = SV_CLAMP_REL ** 2 * np.einsum("cij,cij->c", r, r)[:, None]
+    floor = SV_CLAMP_REL ** 2 * np.einsum("ij,ij->", r, r)
     n2 = n + n % 2  # an odd n gets one zero column, which never rotates
     h = n2 // 2
-    start, perms, restore = _pair_layout(n2)
+    ring = _ring(n2)
     # column j of W (row j of R2) is a row of ``cols``, V's column j
-    # follows it; the rows are kept in the current round's concat(p, q),
-    # so row k < h is paired with row k + h
-    cols = np.zeros((c, n2, n + n2))
-    cols[:, :n, :n] = r
-    cols[:, :, n:] = np.eye(n2)
-    cols = cols[:, start]
+    # follows it; each round rotates row k < h against row k + h, then
+    # the ring gather seats the next round's pairs
+    cols = np.zeros((n2, n + n2))
+    cols[:n, :n] = r
+    cols[:, n:] = np.eye(n2)
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for perm in perms:
-            w = cols[..., :n]  # W's rows; V's follow
-            norms = np.einsum("ckr,ckr->ck", w, w)
-            app, aqq = norms[:, :h], norms[:, h:]
-            apq = np.einsum("ckr,ckr->ck", w[:, :h], w[:, h:])
+        for _ in range(n2 - 1):
+            w = cols[:, :n]  # W's rows; V's follow
+            norms = np.einsum("kr,kr->k", w, w)
+            app, aqq = norms[:h], norms[h:]
+            apq = np.einsum("kr,kr->k", w[:h], w[h:])
             rot = (np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq)) \
                 & (np.minimum(app, aqq) > floor)
             if rot.any():
@@ -203,54 +184,31 @@ def _jacobi(a: np.ndarray):
                 zeta = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
                 t = np.where(rot, np.copysign(
                     1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta), 0.0)
-                cs = 1.0 / np.hypot(1.0, t)[..., None]
-                sn = t[..., None] * cs
-                wp, wq = cols[:, :h], cols[:, h:]
+                cs = 1.0 / np.hypot(1.0, t)[:, None]
+                sn = t[:, None] * cs
+                wp, wq = cols[:h], cols[h:]
                 newp = cs * wp - sn * wq
                 wq *= cs
                 wq += sn * wp
                 wp[...] = newp
-            cols = cols[:, perm]
+            cols = cols[ring]
         if not rotated:
             break
     else:
         raise ConvergenceError(
             f"unconverged after {JACOBI_MAX_SWEEPS} Jacobi sweeps")
-    cols = cols[:, restore]
-    w = cols[:, :n, :n].transpose(0, 2, 1)
-    s = np.sqrt(np.einsum("cij,cij->cj", w, w))
-    order = np.argsort(-s, axis=1, kind="stable")
-    s = np.take_along_axis(s, order, axis=1)
-    s = np.where(s <= SV_CLAMP_REL * s[:, :1], 0.0, s)
-    w = np.take_along_axis(w, order[:, None, :], axis=2)
-    v = q2 @ np.take_along_axis(cols[:, :n, n:2 * n].transpose(0, 2, 1),
-                                order[:, None, :], axis=2)
+    w = cols[:n, :n].T
+    s = np.sqrt(np.einsum("ij,ij->j", w, w))
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    s = np.where(s <= SV_CLAMP_REL * s[0], 0.0, s)
+    w = w[:, order]
+    v = q2 @ cols[:n, n:2 * n].T[:, order]
     # a column left under the floor was never rotated against the rest,
     # so it is not orthogonal to them: its u column stays 0, for svd to
     # complete
-    u = np.divide(w, s[:, None, :], out=np.zeros_like(w),
-                  where=(s * s > floor)[:, None, :])
-    return s / scale[:, None], q, u, v
-
-
-def _complete_orthonormal(u: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """Fill the columns of u not in ``good`` with a deterministic
-    orthonormal completion. Each takes the identity column with the
-    largest part outside the columns so far, projected off them twice:
-    that part is at least sqrt(1/m) long, so the rounding in the columns
-    so far is not magnified, and a second pass leaves it orthogonal to
-    working precision."""
-    filled = u.copy()
-    done = good.copy()
-    for j in np.flatnonzero(~good):
-        basis = filled[:, done]
-        cand = np.eye(u.shape[0])
-        for _ in range(2):
-            cand -= basis @ (basis.T @ cand)
-        best = cand[:, np.argmax(np.einsum("ij,ij->j", cand, cand))]
-        filled[:, j] = best / np.linalg.norm(best)
-        done[j] = True
-    return filled
+    u = np.divide(w, s, out=np.zeros_like(w), where=s * s > floor)
+    return s / scale, q, u, v
 
 
 def svd(a: np.ndarray) -> SvdResult:
@@ -261,10 +219,13 @@ def svd(a: np.ndarray) -> SvdResult:
     a = _check_matrix(a)
     wide = a.shape[1] > a.shape[0]
     tall = a.T if wide else a
-    s, q, u, v = (x[0] for x in _jacobi(tall[None]))
+    s, q, u, v = _jacobi(tall)
     good = u.any(axis=0)
     if not good.all():
-        u = _complete_orthonormal(u, good)
+        # the trailing columns of Q in [u_good | I] = Q R' are an
+        # orthonormal completion of u's good columns
+        basis = np.linalg.qr(np.hstack([u[:, good], np.eye(len(s))]))[0]
+        u[:, ~good] = basis[:, good.sum():]
     u = q @ u
     return SvdResult(u=v, s=s, v=u) if wide else SvdResult(u=u, s=s, v=v)
 

@@ -274,6 +274,8 @@ def prune_pipeline(g: ModelGraph, dataset, spec: PruningSpec,
     original widths (per layer at most floor(r * c)), so the total
     removed equals the one-shot plan's.
     Returns (pruned_graph, report dict)."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     x, y = dataset
     if scoring_samples is None:
         scoring_samples, scoring_labels = x, y

@@ -39,8 +39,8 @@ class ToyDatasetSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("need at least two classes")
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not 0.0 < self.std < np.inf:  # NaN fails it too
+            raise ValueError(f"std must be finite and > 0, got {self.std}")
         if self.centers is not None:
             arr = np.asarray(self.centers, dtype=float)
             if arr.shape != (self.classes, 2):
@@ -69,6 +69,18 @@ def _draw_classes(rng, means, noise, samples_per_class,
     test split of ``test_fraction`` as many (at least one): the class mean
     plus ``noise`` times standard normal noise, drawn class by class and
     then shuffled."""
+    # written so that NaN fails every range test
+    if not len(means) >= 2:
+        raise ValueError(f"classes must be >= 2, got {len(means)}")
+    if not samples_per_class >= 1:
+        raise ValueError(f"samples_per_class must be >= 1, "
+                         f"got {samples_per_class}")
+    if not 0.0 < noise < np.inf:
+        raise ValueError(f"noise must be finite and > 0, got {noise}")
+    if not 0.0 <= test_fraction < np.inf:
+        raise ValueError(f"test_fraction must be finite and >= 0, "
+                         f"got {test_fraction}")
+
     def draw(n):
         x = np.concatenate([m + noise * rng.normal(size=(n,) + m.shape)
                             for m in means])

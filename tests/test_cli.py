@@ -591,6 +591,28 @@ class TestExitCodes:
             assert main(argv + ["--lr", "nan"]) == EXIT_CONFIG
         assert not (tmp_path / "m.json").exists()
 
+    # the first five once exited 0 (non-finite features, a std the images
+    # ignored, one class, a negative test fraction); the others exited 2
+    # through numpy's reshape or NaN message, after writing train.csv
+    @pytest.mark.parametrize("args, setting", [
+        (["--std", "nan"], "std"),
+        (["--std", "inf"], "std"),
+        (["--kind", "images", "--std", "1.0"], "--std"),
+        (["--kind", "images", "--classes", "1"], "classes"),
+        (["--test-fraction", "-3"], "test_fraction"),
+        (["--samples-per-class", "0"], "samples_per_class"),
+        (["--test-fraction", "nan"], "test_fraction"),
+        (["--kind", "images", "--test-fraction", "inf"], "test_fraction"),
+    ])
+    def test_senseless_gen_data_setting_is_config_error(self, tmp_path,
+                                                        capsys, args,
+                                                        setting):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--samples-per-class", "4", *args,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
+
     # a validation split of every training sample once left train and
     # finetune no step to run: they wrote nan loss rows and exited 0
     @pytest.mark.parametrize("command", ["train", "finetune"])

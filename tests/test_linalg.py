@@ -88,25 +88,29 @@ class TestSvd:
 class TestJacobiKernel:
     @pytest.mark.parametrize("n", [2, 4, 6, 16])
     def test_round_robin_pairs_every_column_pair_once(self, n):
+        # row k < n/2 meets row k + n/2; the ring gather seats the next
+        # round's pairs
+        gather = linalg._ring(n)
+        seats = np.arange(n)  # the row in each seat
         seen = []
-        for p, q in linalg._round_robin(n):
-            assert sorted(np.concatenate([p, q]).tolist()) == list(range(n))
-            seen += [tuple(pq) for pq in zip(p.tolist(), q.tolist())]
+        for _ in range(n - 1):
+            seen += [tuple(sorted(pq)) for pq in
+                     zip(seats[:n // 2].tolist(), seats[n // 2:].tolist())]
+            seats = seats[gather]
         assert sorted(seen) == [(p, q) for p in range(n)
                                 for q in range(p + 1, n)]
 
     @pytest.mark.parametrize("n", [2, 4, 6, 16])
     def test_pair_layout_walks_the_rounds_in_a_cycle(self, n):
-        order, perms, inverse = linalg._pair_layout(n)
-        rounds = [np.concatenate(pq) for pq in linalg._round_robin(n)]
-        assert len(perms) == len(rounds) == n - 1
-        assert np.array_equal(order, rounds[0])
-        at = order
-        for r, perm in enumerate(perms):
-            assert np.array_equal(at, rounds[r])
-            at = at[perm]
-        assert np.array_equal(at, rounds[0])  # back to round 0
-        assert np.array_equal(order[inverse], np.arange(n))
+        # the gather is a permutation that keeps row 0 in seat 0; after
+        # n - 1 rounds, and no fewer, every row is back in its seat
+        gather = linalg._ring(n)
+        assert sorted(gather.tolist()) == list(range(n))
+        assert gather[0] == 0
+        seats = np.arange(n)
+        for r in range(1, n):
+            seats = seats[gather]
+            assert np.array_equal(seats, np.arange(n)) == (r == n - 1)
 
     def test_graded_stack_converges_in_few_sweeps(self, monkeypatch):
         # column scales 1 .. 1e-12: the second QR orders and nearly
@@ -173,19 +177,6 @@ class TestJacobiKernel:
         assert nuclear_norm(scale * a) / scale == pytest.approx(
             nuclear_norm(a), rel=1e-12)
 
-    def test_stack_matches_one_matrix_at_a_time(self):
-        # graded, random, zero and repeated-column matrices, odd n after
-        # the transpose: each converges after its own number of sweeps
-        stack = make_rng(4).normal(size=(6, 5, 9))
-        stack[0] *= np.logspace(0, -10, 5)[:, None]
-        stack[2] = 0.0
-        stack[4, :, 1:] = stack[4, :, :1]
-        full = nuclear_norms(stack)
-        assert full[2] == 0.0
-        for i, a in enumerate(stack):
-            assert full[i] == nuclear_norms(a[None])[0] == nuclear_norm(a)
-        assert np.array_equal(nuclear_norms(stack[::-1])[::-1], full)
-
     def test_stack_validation(self):
         with pytest.raises(ShapeError):
             nuclear_norms(np.zeros((3, 3)))
@@ -236,6 +227,20 @@ class TestQdwhKernel:
         stack[1] = 0.0
         assert nuclear_norm(np.zeros((n + 8, n))) == 0.0
         assert nuclear_norms(stack)[1] == 0.0
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # graded, random, zero and repeated-column matrices, odd n after
+        # the transpose: each score has the bits it has alone, and in a
+        # stack in the reverse order
+        stack = make_rng(4).normal(size=(6, 5, 9))
+        stack[0] *= np.logspace(0, -10, 5)[:, None]
+        stack[2] = 0.0
+        stack[4, :, 1:] = stack[4, :, :1]
+        full = nuclear_norms(stack)
+        assert full[2] == 0.0
+        for i, a in enumerate(stack):
+            assert full[i] == nuclear_norms(a[None])[0] == nuclear_norm(a)
+        assert np.array_equal(nuclear_norms(stack[::-1])[::-1], full)
 
     @pytest.mark.parametrize("shape", [(16, 4, 64), (24, 16, 64),
                                        (3, 200, 100)])

@@ -310,6 +310,18 @@ def test_prune_pipeline_end_to_end():
                for f in ("fc1", "fc2", "fc3"))
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+def test_prune_pipeline_refuses_fewer_than_one_step(steps, monkeypatch):
+    # both once returned the input graph itself, unpruned, with 0 removed
+    data = gen_blobs(ToyDatasetSpec(samples_per_class=10, seed=0))
+    g = build_toy_mlp(hidden=16, seed=0)
+    spec = PruningSpec(mode="global", threshold=0.3, criterion="weight")
+    monkeypatch.setattr("energyprune.pruner.compute_scores",
+                        lambda *a, **k: pytest.fail("scored"))
+    with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
+        prune_pipeline(g, (data.train_x, data.train_y), spec, steps=steps)
+
+
 # the layers a default-protected plan can prune: on toy-cnn-residual the
 # Add ties b1.conv2 to the protected stem, and b2.conv1 to b2.proj
 ITERATIVE_LAYERS = {"toy-mlp": ("fc1", "fc2", "fc3"),
