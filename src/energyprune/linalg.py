@@ -2,10 +2,11 @@
 
 Every nuclear norm goes through :func:`nuclear_norms`: each matrix of a
 stack is reduced to a = Q R by one numpy QR, and its nuclear norm is
-tr(X^T R) for R's polar factor X, which a fixed schedule of six QDWH
-steps computes for the whole stack at once (Nakatsukasa, Bai & Gygi
-2010; Nakatsukasa & Higham 2013). Each step is one batched QR and one
-batched matrix product; singular values under QDWH_L0 * |R|_F are only
+tr(X^T R) for R's polar factor X, which a fixed schedule of three QDWH
+steps, then five Newton-Schulz steps, computes for the whole stack at
+once (Nakatsukasa, Bai & Gygi 2010; Higham 2008). Each QDWH step is one
+batched QR and one batched matrix product, each Newton-Schulz step two
+batched matrix products; singular values under QDWH_L0 * |R|_F are only
 partly counted. A whole layer's channels are one stack.
 
 :func:`svd` goes through :func:`_jacobi`, one matrix at a time: a = Q R,
@@ -35,13 +36,15 @@ SV_CLAMP_REL = 1e-12
 
 
 def _qdwh_schedule(ell: float) -> tuple:
-    """The QDWH steps (a, b, c) that take every singular value in
-    [ell, 1] to 1 (Nakatsukasa, Bai & Gygi 2010): the dynamically
-    weighted Halley map x (a + b x^2) / (1 + c x^2), each step's weights
-    chosen for the smallest value ell still has, which the step then
-    moves up. Returns (steps, ell after the last step)."""
+    """The polar iteration that takes every singular value in [ell, 1]
+    to 1. QDWH steps (a, b, c) (Nakatsukasa, Bai & Gygi 2010), the
+    dynamically weighted Halley map x (a + b x^2) / (1 + c x^2) with each
+    step's weights chosen for the smallest value ell still has, run
+    while ell < 1/2; from there Newton-Schulz steps x (3 - x^2) / 2,
+    which need no inverse, finish (Higham 2008, section 8.3). Returns
+    (QDWH steps, Newton-Schulz step count, ell after the last step)."""
     steps = []
-    while 1.0 - ell > 1e-15:
+    while ell < 0.5:
         ell2 = ell * ell
         g = (4.0 * (1.0 - ell2) / (ell2 * ell2)) ** (1.0 / 3.0)
         a = math.sqrt(1.0 + g) + 0.5 * math.sqrt(
@@ -49,13 +52,17 @@ def _qdwh_schedule(ell: float) -> tuple:
         b = (a - 1.0) ** 2 / 4.0
         steps.append((a, b, a + b - 1.0))
         ell = ell * (a + b * ell2) / (1.0 + (a + b - 1.0) * ell2)
-    return tuple(steps), ell
+    newton_schulz = 0
+    while 1.0 - ell > 1e-15:
+        ell = 0.5 * ell * (3.0 - ell * ell)
+        newton_schulz += 1
+    return tuple(steps), newton_schulz, ell
 
 
 # Nuclear norms: singular values at least QDWH_L0 * |R|_F reach 1 in the
 # polar factor; smaller ones count in part.
 QDWH_L0 = 1e-16
-QDWH_STEPS, QDWH_L_END = _qdwh_schedule(QDWH_L0)
+QDWH_STEPS, NEWTON_SCHULZ_STEPS, QDWH_L_END = _qdwh_schedule(QDWH_L0)
 
 
 class ShapeError(ValueError):
@@ -240,11 +247,12 @@ def nuclear_norms(stack: np.ndarray) -> np.ndarray:
     Each matrix, transposed if wide and scaled by a power of two to a
     largest entry in [0.5, 1) (as far as the exponent range allows), is
     reduced to a = Q R. The sum is tr(X^T R) = sum_ij X_ij R_ij, where X
-    is R's polar factor from the QDWH steps of ``QDWH_STEPS``: each step
-    is one QR of [sqrt(c) X; I] = [Q1; Q2] R' and
-    X <- (b/c) X + (a - b/c)/sqrt(c) Q1 Q2^T, from X = R / |R|_F. Every
-    matrix takes the same steps, so a matrix's score does not depend on
-    the other matrices of the stack.
+    is R's polar factor, from X = R / |R|_F by three QDWH steps, then
+    five Newton-Schulz steps (``QDWH_STEPS``, ``NEWTON_SCHULZ_STEPS``).
+    Each QDWH step is one QR of [sqrt(c) X; I] = [Q1; Q2] R' and
+    X <- (b/c) X + (a - b/c)/sqrt(c) Q1 Q2^T; each Newton-Schulz step is
+    X <- X (3 I - X^T X) / 2. Every matrix takes the same steps, so a
+    matrix's score does not depend on the other matrices of the stack.
     """
     stack = _check_stack(stack)
     if stack.shape[2] > stack.shape[1]:
@@ -265,6 +273,8 @@ def nuclear_norms(stack: np.ndarray) -> np.ndarray:
         q = np.linalg.qr(np.concatenate([math.sqrt(c) * x, eye], axis=1))[0]
         x = (b / c) * x + ((a - b / c) / math.sqrt(c)) \
             * (q[:, :n] @ q[:, n:].transpose(0, 2, 1))
+    for _ in range(NEWTON_SCHULZ_STEPS):
+        x = 1.5 * x - 0.5 * (x @ (x.transpose(0, 2, 1) @ x))
     return np.sum(x * r, axis=(1, 2)) / scale
 
 

@@ -109,6 +109,8 @@ def gen_class_images(classes: int = 4, samples_per_class: int = 256,
                      test_fraction: float = 0.25) -> Dataset:
     """Synthetic image classes: a fixed random template per class plus
     Gaussian noise. Deterministic under the seed."""
+    if not classes >= 2:  # before it sizes the templates
+        raise ValueError(f"classes must be >= 2, got {classes}")
     rng = make_rng(seed)
     templates = rng.normal(size=(classes,) + tuple(shape))
     return _draw_classes(rng, templates, noise, samples_per_class,

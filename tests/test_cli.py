@@ -593,7 +593,8 @@ class TestExitCodes:
 
     # the first five once exited 0 (non-finite features, a std the images
     # ignored, one class, a negative test fraction); the others exited 2
-    # through numpy's reshape or NaN message, after writing train.csv
+    # through numpy's reshape, NaN or negative-dimension message, after
+    # writing train.csv or before the class count was checked
     @pytest.mark.parametrize("args, setting", [
         (["--std", "nan"], "std"),
         (["--std", "inf"], "std"),
@@ -603,6 +604,7 @@ class TestExitCodes:
         (["--samples-per-class", "0"], "samples_per_class"),
         (["--test-fraction", "nan"], "test_fraction"),
         (["--kind", "images", "--test-fraction", "inf"], "test_fraction"),
+        (["--kind", "images", "--classes", "-1"], "classes"),
     ])
     def test_senseless_gen_data_setting_is_config_error(self, tmp_path,
                                                         capsys, args,

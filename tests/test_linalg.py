@@ -207,14 +207,15 @@ def _hard_inputs(n: int) -> dict:
 class TestQdwhKernel:
     def test_schedule_is_fixed_and_no_jacobi_setting_reaches_it(
             self, monkeypatch):
-        assert len(linalg.QDWH_STEPS) == 6
+        assert len(linalg.QDWH_STEPS) == 3
+        assert linalg.NEWTON_SCHULZ_STEPS == 5
         assert abs(1.0 - linalg.QDWH_L_END) <= 1e-15
         a = make_rng(16).normal(size=(16, 16))
         before = nuclear_norm(a)
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
         assert nuclear_norm(a) == before
 
-    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("n", [4, 16, 64, 128])
     @pytest.mark.parametrize("kind", list(_hard_inputs(2)))
     def test_hard_inputs_match_oracle(self, n, kind):
         a = _hard_inputs(n)[kind]
@@ -243,7 +244,7 @@ class TestQdwhKernel:
         assert np.array_equal(nuclear_norms(stack[::-1])[::-1], full)
 
     @pytest.mark.parametrize("shape", [(16, 4, 64), (24, 16, 64),
-                                       (3, 200, 100)])
+                                       (64, 16, 4), (3, 200, 100)])
     def test_wide_and_large_stacks_match_one_matrix_stacks(self, shape):
         # each score's sums must not depend on the layout QR hands back
         # for the stack, nor on how many matrices it holds
